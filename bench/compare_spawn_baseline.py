@@ -8,6 +8,10 @@ conservative shared-runner number, so a failure here means the fast path
 structurally regressed (a lock, a malloc, pedigree maintenance growing an
 allocation) — not noise.
 
+It also fails when the single-worker fib leg drew any task-pool block:
+an unstolen spawn keeps its spawn record in the child's slot, so that leg
+must allocate exactly nothing. This check is exact, not a ratio.
+
 Usage: compare_spawn_baseline.py <measured.json> <baseline.json>
 Exit status: 0 within budget, 1 over budget or unreadable input.
 """
@@ -28,6 +32,13 @@ def wide_pfor_rate(doc: dict) -> float:
         if leg.get("workload") == "wide_pfor_grain1":
             return float(leg["spawns_per_sec"])
     raise KeyError("no wide_pfor_grain1 throughput leg")
+
+
+def p1_fib_task_allocs_per_spawn(doc: dict) -> float:
+    for leg in doc.get("throughput", []):
+        if leg.get("workload") == "fib_cutoff0" and leg.get("workers") == 1:
+            return float(leg["task_allocs_per_spawn"])
+    raise KeyError("no single-worker fib_cutoff0 throughput leg")
 
 
 def main() -> int:
@@ -64,6 +75,17 @@ def main() -> int:
         f"{'OK' if wide_ok else 'FAIL'}: wide-pfor {wide:.0f} spawns/s, "
         f"baseline {wide_base:.0f}, floor {floor:.0f} "
         f"({WIDE_PFOR_FLOOR_RATIO}x)"
+    )
+    try:
+        allocs = p1_fib_task_allocs_per_spawn(measured)
+    except (KeyError, ValueError) as e:
+        print(f"FAIL: cannot read P=1 fib task allocations: {e}", file=sys.stderr)
+        return 1
+    allocs_ok = allocs == 0
+    ok = ok and allocs_ok
+    print(
+        f"{'OK' if allocs_ok else 'FAIL'}: P=1 fib draws "
+        f"{allocs:g} task-pool blocks per spawn (must be 0)"
     )
     return 0 if ok else 1
 

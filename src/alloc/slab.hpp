@@ -1,9 +1,10 @@
 // cilkpp_slab — the runtime's two-level internal allocator (cheetah's
 // internal-malloc generalized; Bonwick's magazine design).
 //
-// Motivation (paper Sec. 3, the work-first principle): every cilk_spawn
-// allocates a task frame, every reducer touch may allocate a view, and the
-// spawn path must stay within the <2% serial-overhead budget. A system
+// Motivation (paper Sec. 3, the work-first principle): a spawn whose
+// closure outgrows its slot allocates a task frame, every reducer touch may
+// allocate a view, and the spawn path must stay within the <2%
+// serial-overhead budget. A system
 // malloc costs a lock or CAS in the common case; even the task_pool's
 // thread-local freelists fall back to ::operator new on every cold miss and
 // cap-overflow. The slab allocator removes the system allocator from the
@@ -31,8 +32,8 @@
 // task frames cannot false-share by construction. The slab header occupies
 // the first line alone.
 //
-// Consumers (task frames via task_pool, slot_arena chunks, reducer views,
-// trace rings, stress pools) route here when CILKPP_SLAB is ON (the
+// Consumers (oversize task frames via task_pool, reducer views, trace
+// rings, stress pools) route here when CILKPP_SLAB is ON (the
 // default). The library itself is always built — `-DCILKPP_SLAB=OFF` only
 // reverts the consumers to their previous allocation strategy (task_pool's
 // own freelists, plain operator new), keeping a bisectable fallback.
@@ -54,8 +55,8 @@ namespace cilkpp::alloc {
 
 /// Block size classes. Multiples of 64 so block boundaries are cache-line
 /// boundaries; geometric so any request wastes < 2x. Covers every runtime
-/// object: spawn_task closures (64–512), slot_arena chunks (~1–2 KiB),
-/// reducer views (usually 64), stress pool rows (64 each).
+/// object: oversize spawn_task closures (128–512), reducer views (usually
+/// 64), stress pool rows (64 each).
 inline constexpr std::size_t class_sizes[] = {64,  128,  256, 512,
                                               1024, 2048, 4096};
 inline constexpr std::size_t num_classes = 7;

@@ -4,35 +4,39 @@
 #include "runtime/scheduler.hpp"
 
 // The spawn/join hot path here is entirely lock-free (DESIGN.md §4,
-// "lock-free join"). The ownership discipline that replaces the old
-// per-frame mutex:
+// "lock-free join"). The ownership discipline:
 //
-//   * Arena STRUCTURE (append, clear/fold) is touched only by the single
+//   * Window STRUCTURE (append, clear/fold) is touched only by the single
 //     strand executing this frame — only it spawns, calls, syncs, or
-//     accesses reducers through this frame. Appends never move existing
-//     slots (chunked storage), so children holding slot pointers are safe.
+//     accesses reducers through this frame — and that strand's window is
+//     always the top of its worker's slot stack. Pushes never move
+//     existing slots (chunked storage), so children holding slot pointers
+//     are safe.
 //   * Slot CONTENTS of a child slot are written by exactly one child —
-//     the child owns its slot exclusively from spawn until its
-//     release-decrement of pending_ publishes the writes.
-//   * The owner reads child-slot contents only in fold paths, which run
-//     strictly after wait_children observed pending_ == 0 with an acquire
-//     load. That acquire pairs with every child's release fetch_sub (RMWs
-//     extend the release sequence), ordering all slot writes before all
-//     fold reads — the exact edge the mutex used to provide, from the
-//     fence pair the counter already needed.
+//     the child owns its slot exclusively from spawn until it signals.
+//   * The join counter is split. outstanding_ is plain and owner-only: a
+//     child popped by the parent's own worker runs on the parent's thread
+//     and decrements it there. A stolen child instead release-increments
+//     stolen_joined_; wait_children is done once its acquire load equals
+//     outstanding_. That acquire pairs with every stolen child's release
+//     RMW (RMWs extend the release sequence), ordering all stolen slot
+//     writes before all fold reads; local children's writes are ordered by
+//     program order. An unstolen spawn therefore costs no locked RMW.
 
 namespace cilkpp::rt {
 
 context::context(scheduler* sched, worker* home, context* parent,
                  frame_slot* parent_slot, kind k, std::uint64_t ped_hash,
-                 std::uint64_t birth_rank)
+                 std::uint64_t birth_rank, bool stolen)
     : sched_(sched),
       home_(home),
       parent_(parent),
       parent_slot_(parent_slot),
       kind_(k),
       depth_(parent == nullptr ? 0 : parent->depth_ + 1),
-      ped_hash_(ped_hash) {
+      ped_hash_(ped_hash),
+      stolen_(stolen),
+      arena_(home->slots) {
 #if CILKPP_PEDIGREE_ENABLED
   birth_rank_ = birth_rank;
 #else
@@ -63,9 +67,9 @@ context::~context() {
   // The destructor runs on the home worker for every frame kind (child
   // stealing never migrates a frame), so begin/end pairs nest per worker.
   //
-  // Spawned frames record frame_end inside finish_spawned instead: this
-  // destructor runs *after* the parent's pending_ count was release-
-  // decremented, so the root sync could already have passed and trace
+  // Spawned frames record frame_end inside signal_parent instead: this
+  // destructor runs *after* the parent was signalled, so the root sync
+  // could already have passed and trace
   // teardown (session::assemble → scheduler::remove_trace + ring drain)
   // could race a record issued here. Root and called frames are destroyed
   // strictly inside run() on the thread that will later tear the trace
@@ -73,52 +77,61 @@ context::~context() {
   if (kind_ != kind::spawned) {
     trace_record(home_, trace::event_kind::frame_end, ped_hash_);
   }
+  // Release the window. Normally it is empty by now (every epilogue folds
+  // and takes its views); an exception that unwound through a call leaves
+  // slot contents behind, which must not leak into the next window here.
+  if (!arena_.empty()) arena_.clear();
   const std::uint64_t prior =
       home_->live_frames.load(std::memory_order_relaxed);
   CILKPP_ASSERT(prior != 0, "live-frame census underflow");
   home_->live_frames.store(prior - 1, std::memory_order_relaxed);
 }
 
-frame_slot* context::reserve_child_slot() { return arena_.append(true); }
-
 void context::wait_children() noexcept {
   // The paper's sync is a *local* barrier: only this frame's children are
   // awaited. While they run elsewhere, this worker helps — first its own
   // deque (deepest work, preserving the stack discipline), then stealing —
-  // rather than blocking the OS thread. The common case (no outstanding
-  // children) is one acquire load.
+  // rather than blocking the OS thread. Children this worker pops decrement
+  // outstanding_ inside help_one, on this thread; the loop ends when the
+  // rest have all been stolen and finished. The common case (no children
+  // outstanding) reads no atomic at all.
   chaos_perturb(home_, chaos_point::sync_enter);
-  std::uint32_t idle_rounds = 0;
-  while (pending_.load(std::memory_order_acquire) != 0) {
-    if (sched_->help_one(*home_)) {
-      idle_rounds = 0;
-      continue;
+  if (outstanding_ != 0) {
+    std::uint32_t idle_rounds = 0;
+    while (outstanding_ != stolen_joined_.load(std::memory_order_acquire)) {
+      if (sched_->help_one(*home_)) {
+        idle_rounds = 0;
+        continue;
+      }
+      if (++idle_rounds < 64) {
+        std::this_thread::yield();
+      } else {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
     }
-    if (++idle_rounds < 64) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
+    // Every child has finished and no stolen child touches the counter
+    // again; the next steal is ordered after this reset by the deque.
+    outstanding_ = 0;
+    stolen_joined_.store(0, std::memory_order_relaxed);
   }
   chaos_perturb(home_, chaos_point::sync_exit);
 }
 
 std::exception_ptr context::fold_slots() {
   // Fast path: no child slot since the last fold means nothing to wait for
-  // and nothing to fold — without child slots the arena holds at most one
+  // and nothing to fold — without child slots the window holds at most one
   // owner segment (new segments are only opened when the previous slot is
   // a child slot), which a fold would pass through unchanged. The view
   // cache stays valid too, since no view moves.
   if (!arena_.has_children()) return nullptr;
-  // Precondition (asserted): children all completed — their release
-  // decrements were paired by wait_children's acquire, so plain reads of
-  // slot contents below (and of child_delivered_) are ordered after the
-  // children's writes.
-  CILKPP_ASSERT(pending_.load(std::memory_order_acquire) == 0,
-                "fold_slots with children still running");
+  // Precondition (asserted): children all completed — stolen children's
+  // release increments were paired by wait_children's acquire, so plain
+  // reads of slot contents below (and of child_delivered_) are ordered
+  // after the children's writes.
+  CILKPP_ASSERT(outstanding_ == 0, "fold_slots with children still running");
   // Clean fast path: no child delivered views or an exception (every child
   // slot is still pristine) and no strand segment was opened, so the fold
-  // is the identity — drop the slot structure in O(1) and keep going. This
+  // is the identity — drop the window in O(1) and keep going. This
   // is the steady state of a spawn+sync loop without reducers.
   if (!child_delivered_.load(std::memory_order_relaxed) &&
       arena_.all_children()) {
@@ -164,63 +177,75 @@ void context::sync() {
   if (ex) std::rethrow_exception(ex);
 }
 
-void context::finish_spawned(std::exception_ptr body_exception) noexcept {
+context::spawn_result context::join_spawned(
+    std::exception_ptr body_exception) noexcept {
   trace_record(home_, trace::event_kind::sync_begin, ped_hash_, 0,
                static_cast<std::uint32_t>(rank_), /*implicit=*/1);
-  wait_children();  // implicit sync before a Cilk function returns
-  std::exception_ptr child_exception = fold_slots();
-  trace_record(home_, trace::event_kind::sync_end, ped_hash_, 0,
-               static_cast<std::uint32_t>(rank_), /*implicit=*/1);
+  spawn_result r;
   // The body's exception unwound past the implicit sync, so in serial
   // execution it is what the parent would see; fall back to the serially
   // earliest child exception otherwise.
-  std::exception_ptr deliver = body_exception ? body_exception : child_exception;
-  view_map final_views = take_final_views();
+  r.exception = std::move(body_exception);
+  // An empty window means no child and no segment since the last sync:
+  // nothing to wait for, fold, or hand over.
+  if (!arena_.empty()) {
+    wait_children();  // implicit sync before a Cilk function returns
+    std::exception_ptr child_exception = fold_slots();
+    if (!r.exception) r.exception = std::move(child_exception);
+    r.views = take_final_views();
+  }
+  trace_record(home_, trace::event_kind::sync_end, ped_hash_, 0,
+               static_cast<std::uint32_t>(rank_), /*implicit=*/1);
+  return r;
+}
 
-  // Lock-free delivery: this child owns its parent-arena slot exclusively
+void context::signal_parent(spawn_result& r) noexcept {
+  // Lock-free delivery: this child owns its parent-window slot exclusively
   // (one child per slot; the parent only appends elsewhere, never moves
-  // slots) until the release-decrement below publishes the writes to the
-  // parent's post-sync acquire.
+  // slots) until the signal below hands it back.
   frame_slot* s = parent_slot_;
   CILKPP_ASSERT(s != nullptr && s->is_child, "spawn slot mismatch");
-  if (!final_views.empty() || deliver) {
-    if (!final_views.empty()) s->views = std::move(final_views);
-    s->exception = deliver;
+  if (!r.views.empty() || r.exception) {
+    if (!r.views.empty()) s->views = std::move(r.views);
+    s->exception = std::move(r.exception);
     // Tells the parent's fold that a slot has contents; without it the
     // fold takes the clean fast path and never reads the slots. Relaxed:
-    // the release fetch_sub below publishes this store too.
+    // the signal below publishes this store too.
     parent_->child_delivered_.store(true, std::memory_order_relaxed);
   }
   finished_ = true;
   // frame_end must be recorded *before* the parent learns this child is
-  // done: the decrement below may let the enclosing syncs — up to the root
-  // — complete, after which run() returns and the trace session may detach
+  // done: the signal may let the enclosing syncs — up to the root —
+  // complete, after which run() returns and the trace session may detach
   // and drain the rings. Any record after this point would race that
   // teardown (lost events at best, a push into a freed ring at worst).
   trace_record(home_, trace::event_kind::frame_end, ped_hash_);
-  // Release so the parent's post-sync fold sees the delivered views.
-  const std::uint32_t prior =
-      parent_->pending_.fetch_sub(1, std::memory_order_release);
-  CILKPP_ASSERT(prior != 0, "pending child count underflow");
+  parent_->signal_join(stolen_);
 }
 
-void context::finish_called() {
-  sync();  // implicit sync; rethrows child exceptions to the caller
-  view_map final_views = take_final_views();
+void context::finish_called(view_map& views) {
+  try {
+    sync();  // implicit sync; rethrows child exceptions to the caller
+  } catch (...) {
+    finished_ = true;
+    throw;
+  }
+  views = take_final_views();
   finished_ = true;
-  if (final_views.empty()) return;
+}
+
+void context::fold_called(view_map&& views) {
+  if (views.empty()) return;
   // Owner-only: a called frame runs synchronously on the strand executing
-  // the parent, so appending to the parent's arena here is the same
-  // single-strand append as the parent's own spawns. The parent's pending
-  // children (if any) write only their own slots' contents, never the
-  // arena structure.
-  context* parent = parent_;
-  frame_slot* tail = parent->arena_.last();
+  // this frame, so appending to this window here is the same single-strand
+  // append as this frame's own spawns. The outstanding children (if any)
+  // write only their own slots' contents, never the window structure.
+  frame_slot* tail = arena_.last();
   if (tail == nullptr || tail->is_child) {
-    tail = parent->arena_.append(/*is_child=*/false);
+    tail = arena_.append(/*is_child=*/false);
   }
   // Caller updates so far are serially before the callee's: fold left.
-  fold_view_maps(tail->views, std::move(final_views));
+  fold_view_maps(tail->views, std::move(views));
 }
 
 void context::finish_root() {
@@ -260,7 +285,7 @@ void context::finish_root_abandoned() noexcept {
 }
 
 std::unique_ptr<view_base> context::extract_view(hyperobject_base& h) {
-  CILKPP_ASSERT(pending_.load(std::memory_order_acquire) == 0,
+  CILKPP_ASSERT(outstanding_ == 0,
                 "extract_view with children still running; sync() first");
   if (std::exception_ptr ex = fold_slots()) std::rethrow_exception(ex);
   frame_slot* tail = arena_.last();
@@ -272,8 +297,9 @@ std::unique_ptr<view_base> context::extract_view(hyperobject_base& h) {
 
 view_base& context::hyper_view(hyperobject_base& h) {
   if (cached_hyper_ == &h) return *cached_view_;  // strand-local fast path
-  // Owner-only: open (or reuse) the current strand segment at the arena
-  // tail. Pending children never touch the arena structure, so no lock.
+  // Owner-only: open (or reuse) the current strand segment at the window
+  // tail. Outstanding children never touch the window structure, so no
+  // lock.
   frame_slot* tail = arena_.last();
   if (tail == nullptr || tail->is_child) {
     tail = arena_.append(/*is_child=*/false);

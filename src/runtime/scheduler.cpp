@@ -223,7 +223,7 @@ bool scheduler::help_one(worker& w) {
                                      ? w.deque.pop_bottom_exclusive()
                                      : w.deque.pop_bottom();
   if (t) {
-    execute(w, *t);
+    execute(w, *t, /*stolen=*/false);
     return true;
   }
   return steal_and_execute(w);
@@ -271,18 +271,17 @@ bool scheduler::steal_and_execute(worker& w) {
                    stolen->parent_frame->ped_hash_, 0,
                    static_cast<std::uint16_t>(victim));
       chaos_perturb(&w, chaos_point::steal_success);
-      execute(w, stolen);
+      execute(w, stolen, /*stolen=*/true);
       return true;
     }
   }
   return false;
 }
 
-void scheduler::execute(worker& w, task* t) {
+void scheduler::execute(worker& w, task* t, bool stolen) {
   bump_counter(w.tasks_executed);  // w is the executing worker: single writer
   chaos_perturb(&w, chaos_point::task_run);
-  t->execute();
-  destroy_task(t);
+  t->execute(stolen);  // destroys the record itself; t is dead afterwards
 }
 
 void scheduler::push(worker& w, task* t) {
@@ -359,13 +358,16 @@ void scheduler::remove_trace() {
                 "remove_trace while a run is in flight");
   // With no run in flight no worker can be mid-record, so clearing the
   // pointers is sufficient. Why: every record a worker issues while
-  // executing a task completes before that task's frame release-decrements
-  // its parent's pending_ (finish_spawned records frame_end last, before
-  // the decrement), and the steal record completes while the stolen task's
-  // parent still has pending_ > 0 — so all of them happen-before the root
-  // sync's acquire of pending_ == 0, i.e. before run() returned. After
-  // that, a pool worker only records on a *successful* steal, and with no
-  // run in flight every deque is empty.
+  // executing a stolen task completes before that task's frame release-
+  // increments its parent's stolen_joined_ (signal_parent records frame_end
+  // last, before the increment), and the steal record completes while the
+  // stolen task's parent is still waiting for it — so all of them
+  // happen-before the acquire that lets the parent's sync pass, and by
+  // induction up the spawn tree, before the root sync passed and run()
+  // returned. Records of popped (unstolen) tasks are made on the thread of
+  // their parent, sequenced before its sync. After run() returns, a pool
+  // worker only records on a *successful* steal, and with no run in flight
+  // every deque is empty.
   for (auto& w : workers_) {
     w->trace_ring.store(nullptr, std::memory_order_release);
   }

@@ -31,10 +31,12 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -97,20 +99,24 @@ class chaos_policy {
   virtual std::size_t pick_victim(unsigned worker_id, std::size_t nworkers) = 0;
 };
 
-/// A spawned child waiting in a deque. Allocated at spawn, freed after
-/// execution by the worker that ran it.
+/// A spawned child's spawn record: what waits in a deque. It lives in the
+/// child's own slot on the parent's slot stack (or, for a closure too big
+/// for the slot, in a task_allocate block) and is destroyed by the child
+/// itself, after its implicit sync and before it signals completion.
 struct task {
   task(context* parent, frame_slot* slot, std::uint64_t ped)
       : parent_frame(parent), parent_slot(slot), child_ped_hash(ped) {}
   virtual ~task() = default;
-  /// Runs the child on the calling worker and delivers its results
-  /// (reducer views, exception) into the parent's slot.
-  virtual void execute() = 0;
+  /// Runs the child on the calling worker, delivers its results (reducer
+  /// views, exception) into the parent's slot, destroys this record, and
+  /// signals the parent. `stolen` is the thief's mark: true iff the calling
+  /// worker stole the record rather than popping it from its own deque.
+  virtual void execute(bool stolen) = 0;
 
   context* parent_frame;
-  /// The child's slot in the parent's arena. Stable for the child's whole
-  /// life (slot_arena never moves slots), and exclusively the child's to
-  /// write until its release-decrement of the parent's pending count.
+  /// The child's slot in the parent's window. Stable for the child's whole
+  /// life, and exclusively the child's to write until it signals the
+  /// parent.
   frame_slot* parent_slot;
   std::uint64_t child_ped_hash;  ///< pedigree prefix captured at spawn time
 #if CILKPP_PEDIGREE_ENABLED
@@ -119,7 +125,6 @@ struct task {
   /// hot-path identity either way).
   std::uint64_t child_birth_rank = 0;
 #endif
-  std::uint32_t alloc_size = 0;  ///< block size for the task pool
 
   std::uint64_t birth_rank() const {
 #if CILKPP_PEDIGREE_ENABLED
@@ -130,11 +135,35 @@ struct task {
   }
 };
 
-/// Destroys and recycles a task block (tasks come from task_allocate).
-inline void destroy_task(task* t) noexcept {
-  const std::size_t size = t->alloc_size;
-  t->~task();
-  task_deallocate(t, size);
+/// True when a spawn record of type T fits in its child's slot; only the
+/// records that do not fit are placed in a task_allocate block.
+template <typename T>
+inline constexpr bool record_in_slot =
+    sizeof(T) <= frame_slot::record_bytes &&
+    alignof(T) <= alignof(std::max_align_t);
+
+/// Constructs a spawn record of type T for the child owning `slot`.
+template <typename T, typename... Args>
+T* emplace_record(frame_slot* slot, Args&&... args) {
+  if constexpr (record_in_slot<T>) {
+    return new (slot->record) T(slot, std::forward<Args>(args)...);
+  } else {
+    void* mem = task_allocate(sizeof(T));
+    try {
+      return new (mem) T(slot, std::forward<Args>(args)...);
+    } catch (...) {
+      task_deallocate(mem, sizeof(T));
+      throw;
+    }
+  }
+}
+
+/// Destroys a record made by emplace_record. After this returns the slot
+/// may be recycled as soon as the parent learns the child is done.
+template <typename T>
+void destroy_record(T* t) noexcept {
+  t->~T();
+  if constexpr (!record_in_slot<T>) task_deallocate(t, sizeof(T));
 }
 
 /// Steal-distance histogram buckets: log2-spaced worker distances. Bucket 0
@@ -263,6 +292,9 @@ struct worker {
   scheduler* sched;
   chase_lev_deque<task*> deque;  // top_/bottom_ are line-padded internally
   xoshiro256 rng;
+  /// Owner-only: the slot windows of every frame live on this worker, and
+  /// the spawn records of their children (see runtime/slot_arena.hpp).
+  slot_stack slots;
   /// Single-writer stat block (every bump_counter target): 8 counters = 64
   /// bytes on exactly one line of their own, so the owner's spawn/sync-path
   /// stores never ping-pong a line shared with the thief-facing deque
@@ -407,6 +439,9 @@ class context {
   unsigned worker_id() const { return home_->id; }
   /// Spawn depth of this frame: 0 for the root.
   std::uint64_t depth() const { return depth_; }
+  /// Slots currently live on this worker's slot stack: the windows of the
+  /// frames nested on it, this one's on top. Introspection for tests.
+  std::size_t slot_stack_top() const { return home_->slots.top(); }
 
 #if CILKPP_PEDIGREE_ENABLED
   /// Pedigree-based strand identifier: a 64-bit value that identifies the
@@ -438,7 +473,8 @@ class context {
   enum class kind : std::uint8_t { root, spawned, called };
 
   context(scheduler* sched, worker* home, context* parent, frame_slot* parent_slot,
-          kind k, std::uint64_t ped_hash, std::uint64_t birth_rank);
+          kind k, std::uint64_t ped_hash, std::uint64_t birth_rank,
+          bool stolen = false);
 
   /// Deterministic pedigree chaining: the child born at rank r of a frame
   /// with prefix h gets prefix ped_mix(h, r). The hash chain stays even when
@@ -447,9 +483,10 @@ class context {
     return ped::mix(h, r);
   }
 
-  /// Owner-only: appends a child slot to the arena and returns its address
-  /// (stable under growth — chunks are linked, never reallocated).
-  frame_slot* reserve_child_slot();
+  /// Owner-only: appends the child's slot, builds its spawn record there
+  /// (or in a task_allocate block when T does not fit) and pushes it.
+  template <typename T, typename... Args>
+  void spawn_record(Args&&... args);
 
   /// Helps until all spawned children have completed (never throws).
   void wait_children() noexcept;
@@ -458,12 +495,48 @@ class context {
   /// earliest child exception (or null).
   std::exception_ptr fold_slots();
 
-  /// Spawned-child epilogue: implicit sync, fold, deliver into parent slot.
-  void finish_spawned(std::exception_ptr body_exception) noexcept;
+  /// What a finished spawned frame hands its parent.
+  struct spawn_result {
+    std::exception_ptr exception;
+    view_map views;
+  };
 
-  /// Called-frame epilogue: implicit sync (throws), fold into parent's
-  /// current segment.
-  void finish_called();
+  /// Spawned-child epilogue, part 1: the implicit sync and fold. A frame
+  /// whose window is empty (it spawned nothing and opened no segment since
+  /// its last sync) skips both.
+  spawn_result join_spawned(std::exception_ptr body_exception) noexcept;
+
+  /// Spawned-child epilogue, part 2 (after the spawn record is destroyed):
+  /// delivers `r` into the parent's slot, records frame_end, and signals
+  /// the parent — a plain decrement of its outstanding count when this
+  /// child was popped by the parent's own worker, a release increment of
+  /// its stolen-join counter when a thief ran it.
+  void signal_parent(spawn_result& r) noexcept;
+
+  /// A finishing child's last touch of its parent frame (this).
+  void signal_join(bool stolen) noexcept {
+    if (stolen) {
+      stolen_joined_.fetch_add(1, std::memory_order_release);
+    } else {
+      CILKPP_ASSERT(outstanding_ != 0, "outstanding child count underflow");
+      --outstanding_;
+    }
+  }
+
+  /// Runs fn on a fresh called frame through its implicit sync and
+  /// destroys the frame, releasing its window; the frame's folded views are
+  /// left in `views` for fold_called.
+  template <typename Fn>
+  auto run_called(Fn& fn, view_map& views) -> decltype(fn(std::declval<context&>()));
+
+  /// Called-frame epilogue: implicit sync (throws), then hands the folded
+  /// views out.
+  void finish_called(view_map& views);
+
+  /// Folds a finished called frame's views into this frame's current
+  /// segment. The callee's window is gone by then, so this window is the
+  /// top of the slot stack again.
+  void fold_called(view_map&& views);
 
   /// Root epilogue: implicit sync (throws), absorb views into hyperobjects.
   void finish_root();
@@ -504,23 +577,26 @@ class context {
   std::uint64_t draws_ = 0;       // dprng draws on the current strand
 #endif
   bool finished_ = false;
+  bool stolen_ = false;  // spawned frames: run by a thief, not by the parent's worker
   // Strand-local view cache: repeat accesses to the same reducer within a
   // strand skip the flat-map scan. Safe because a view object is
   // heap-stable and only this frame's strand mutates the segment map;
   // bump_rank() clears it at every spawn/sync.
   hyperobject_base* cached_hyper_ = nullptr;
   view_base* cached_view_ = nullptr;
-  // Slot storage: structure (append/clear) is owner-only; a completing
-  // child writes only the contents of its own slot.
+  // Slot window on home_'s slot stack: structure (append/clear) is
+  // owner-only; a completing child writes only the contents of its own slot.
   slot_arena arena_;
-  // --- Cross-worker fields, on their own cache line: completing children
-  // write these from arbitrary workers while the owner spins on pending_
-  // in wait_children. Padding them keeps that contention off the
-  // owner-hot fields above.
-  alignas(cache_line_size) std::atomic<std::uint32_t> pending_{0};
+  // The split join counter. outstanding_ is owner-only: children spawned
+  // since the last join, minus those this worker popped and ran itself
+  // (they decrement it on the same thread). Only stolen children touch
+  // stolen_joined_, with a release increment when they finish;
+  // wait_children is done when its acquire load equals outstanding_.
+  std::uint32_t outstanding_ = 0;
+  std::atomic<std::uint32_t> stolen_joined_{0};
   /// Set (relaxed) by any completing child that delivered reducer views or
-  /// an exception into its slot; published by the same release-decrement of
-  /// pending_ that publishes the slot contents. While it stays false, the
+  /// an exception into its slot; a stolen child's release increment
+  /// publishes it with the slot contents. While it stays false, the
   /// post-sync fold knows every child slot is still pristine and skips the
   /// fold walk entirely (fold_slots' clean fast path).
   std::atomic<bool> child_delivered_{false};
@@ -634,7 +710,7 @@ class scheduler {
   /// Returns false if no work was found anywhere.
   bool help_one(worker& w);
   bool steal_and_execute(worker& w);
-  void execute(worker& w, task* t);
+  void execute(worker& w, task* t, bool stolen);
   void push(worker& w, task* t);
   /// Racy probe: true if any worker's deque looks non-empty. Used by the
   /// idle-parking recheck; exactness is provided by the protocol's fences,
@@ -668,20 +744,25 @@ class scheduler {
 
 template <typename Fn>
 struct spawn_task final : task {
-  spawn_task(context* parent, frame_slot* slot, Fn f, std::uint64_t ped)
+  spawn_task(frame_slot* slot, context* parent, std::uint64_t ped, Fn f)
       : task(parent, slot, ped), fn(std::move(f)) {}
 
-  void execute() override {
+  void execute(bool stolen) override {
     context child(parent_frame->sched_, scheduler::current_worker(), parent_frame,
                   parent_slot, context::kind::spawned, child_ped_hash,
-                  birth_rank());
+                  birth_rank(), stolen);
     std::exception_ptr body_exception;
     try {
       fn(child);
     } catch (...) {
       body_exception = std::current_exception();
     }
-    child.finish_spawned(body_exception);
+    context::spawn_result r = child.join_spawned(std::move(body_exception));
+    // The closure dies here: after the implicit sync, because grandchildren
+    // may read its captures until then, and before the signal, because
+    // after it the parent may recycle the slot this record lives in.
+    destroy_record(this);
+    child.signal_parent(r);
   }
 
   Fn fn;
@@ -691,20 +772,22 @@ struct spawn_task final : task {
 /// a hand-inlined specialization of spawn_task::execute for a frame that is
 /// known to spawn nothing, sync nothing, and touch no reducer: it performs
 /// the same bookkeeping in the same order — depth and live-frame census,
-/// frame_begin, body, the implicit-sync bracket, exception delivery into
-/// the parent slot, frame_end BEFORE the release-decrement that lets the
-/// parent's sync pass (the trace-teardown ordering finish_spawned
-/// documents), and the census decrement last (where the context destructor
-/// would run) — without materializing a context.
+/// frame_begin, body, the implicit-sync bracket, record destruction,
+/// exception delivery into the parent slot, frame_end BEFORE the signal
+/// that lets the parent's sync pass (the trace-teardown ordering
+/// signal_parent documents), and the census decrement last (where the
+/// context destructor would run) — without materializing a context.
 template <typename Body, typename Index>
 struct leaf_task final : task {
-  leaf_task(context* parent, frame_slot* slot, Body b, std::uint64_t ped,
+  leaf_task(frame_slot* slot, context* parent, std::uint64_t ped, Body b,
             Index begin, Index end)
       : task(parent, slot, ped), body(std::move(b)), begin_(begin), end_(end) {}
 
-  void execute() override {
+  void execute(bool stolen) override {
     worker* w = scheduler::current_worker();
     context* parent = parent_frame;
+    frame_slot* slot = parent_slot;
+    const std::uint64_t ped = child_ped_hash;
     const std::uint64_t depth = parent->depth_ + 1;
     if (depth > w->max_frame_depth.load(std::memory_order_relaxed)) {
       w->max_frame_depth.store(depth, std::memory_order_relaxed);
@@ -714,8 +797,8 @@ struct leaf_task final : task {
     if (live > w->peak_live_frames.load(std::memory_order_relaxed)) {
       w->peak_live_frames.store(live, std::memory_order_relaxed);
     }
-    trace_record(w, trace::event_kind::frame_begin, child_ped_hash,
-                 parent->ped_hash_, static_cast<std::uint32_t>(depth),
+    trace_record(w, trace::event_kind::frame_begin, ped, parent->ped_hash_,
+                 static_cast<std::uint32_t>(depth),
                  static_cast<std::uint16_t>(context::kind::spawned));
     std::exception_ptr body_exception;
     try {
@@ -725,18 +808,16 @@ struct leaf_task final : task {
     }
     // Implicit sync of a frame with no children: rank stays 0, nothing to
     // wait for, nothing to fold.
-    trace_record(w, trace::event_kind::sync_begin, child_ped_hash, 0, 0, 1);
-    trace_record(w, trace::event_kind::sync_end, child_ped_hash, 0, 0, 1);
+    trace_record(w, trace::event_kind::sync_begin, ped, 0, 0, 1);
+    trace_record(w, trace::event_kind::sync_end, ped, 0, 0, 1);
+    destroy_record(this);
     if (body_exception) {
-      CILKPP_ASSERT(parent_slot != nullptr && parent_slot->is_child,
-                    "spawn slot mismatch");
-      parent_slot->exception = body_exception;
+      CILKPP_ASSERT(slot != nullptr && slot->is_child, "spawn slot mismatch");
+      slot->exception = std::move(body_exception);
       parent->child_delivered_.store(true, std::memory_order_relaxed);
     }
-    trace_record(w, trace::event_kind::frame_end, child_ped_hash);
-    const std::uint32_t prior =
-        parent->pending_.fetch_sub(1, std::memory_order_release);
-    CILKPP_ASSERT(prior != 0, "pending child count underflow");
+    trace_record(w, trace::event_kind::frame_end, ped);
+    parent->signal_join(stolen);
     const std::uint64_t prior_live =
         w->live_frames.load(std::memory_order_relaxed);
     CILKPP_ASSERT(prior_live != 0, "live-frame census underflow");
@@ -748,52 +829,40 @@ struct leaf_task final : task {
   Index end_;
 };
 
-template <typename Fn>
-void context::spawn(Fn&& fn) {
+template <typename T, typename... Args>
+void context::spawn_record(Args&&... args) {
   CILKPP_ASSERT(!finished_, "spawn on a finished frame");
   const std::uint64_t child_ped = ped_mix(ped_hash_, rank_);
   trace_record(home_, trace::event_kind::spawn, ped_hash_, child_ped,
                static_cast<std::uint32_t>(rank_));
   bump_rank();  // the continuation after this spawn is a new strand
-  // Entirely lock-free from here: an owner-only arena append, a relaxed
-  // counter bump, a pooled (thread-local freelist) allocation, and a
-  // Chase–Lev bottom push.
-  frame_slot* slot = reserve_child_slot();
-  pending_.fetch_add(1, std::memory_order_relaxed);
-  using task_type = spawn_task<std::decay_t<Fn>>;
-  void* mem = task_allocate(sizeof(task_type));
-  auto* t = new (mem) task_type(this, slot, std::forward<Fn>(fn), child_ped);
-  t->alloc_size = sizeof(task_type);
+  // Entirely lock-free and, for a record that fits its slot, allocation-
+  // free: an owner-only slot push, the record built in place, a plain
+  // counter bump, and a Chase–Lev bottom push.
+  frame_slot* slot = arena_.append(/*is_child=*/true);
+  T* t = emplace_record<T>(slot, this, child_ped, std::forward<Args>(args)...);
 #if CILKPP_PEDIGREE_ENABLED
   t->child_birth_rank = rank_ - 1;  // rank before the bump above
 #endif
+  ++outstanding_;
   bump_counter(home_->spawns);
   sched_->push(*home_, t);
+}
+
+template <typename Fn>
+void context::spawn(Fn&& fn) {
+  spawn_record<spawn_task<std::decay_t<Fn>>>(std::forward<Fn>(fn));
 }
 
 template <typename Index, typename Body>
 void context::spawn_leaf(Index begin, Index end, Body&& body) {
-  CILKPP_ASSERT(!finished_, "spawn on a finished frame");
-  const std::uint64_t child_ped = ped_mix(ped_hash_, rank_);
-  trace_record(home_, trace::event_kind::spawn, ped_hash_, child_ped,
-               static_cast<std::uint32_t>(rank_));
-  bump_rank();  // the continuation after this spawn is a new strand
-  frame_slot* slot = reserve_child_slot();
-  pending_.fetch_add(1, std::memory_order_relaxed);
-  using task_type = leaf_task<std::decay_t<Body>, Index>;
-  void* mem = task_allocate(sizeof(task_type));
-  auto* t = new (mem)
-      task_type(this, slot, std::forward<Body>(body), child_ped, begin, end);
-  t->alloc_size = sizeof(task_type);
-#if CILKPP_PEDIGREE_ENABLED
-  t->child_birth_rank = rank_ - 1;  // rank before the bump above
-#endif
-  bump_counter(home_->spawns);
-  sched_->push(*home_, t);
+  spawn_record<leaf_task<std::decay_t<Body>, Index>>(std::forward<Body>(body),
+                                                    begin, end);
 }
 
 template <typename Fn>
-auto context::call(Fn&& fn) -> decltype(fn(std::declval<context&>())) {
+auto context::run_called(Fn& fn, view_map& views)
+    -> decltype(fn(std::declval<context&>())) {
   const std::uint64_t child_ped = ped_mix(ped_hash_, rank_);
   const std::uint64_t child_birth = rank_;
   bump_rank();  // the continuation after the call is a new strand
@@ -808,7 +877,7 @@ auto context::call(Fn&& fn) -> decltype(fn(std::declval<context&>())) {
       child.finished_ = true;
       throw;
     }
-    child.finish_called();
+    child.finish_called(views);
   } else {
     result r = [&] {
       try {
@@ -819,7 +888,21 @@ auto context::call(Fn&& fn) -> decltype(fn(std::declval<context&>())) {
         throw;
       }
     }();
-    child.finish_called();
+    child.finish_called(views);
+    return r;
+  }
+}
+
+template <typename Fn>
+auto context::call(Fn&& fn) -> decltype(fn(std::declval<context&>())) {
+  using result = decltype(fn(std::declval<context&>()));
+  view_map views;
+  if constexpr (std::is_void_v<result>) {
+    run_called(fn, views);
+    fold_called(std::move(views));
+  } else {
+    result r = run_called(fn, views);
+    fold_called(std::move(views));
     return r;
   }
 }

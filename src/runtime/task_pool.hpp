@@ -1,7 +1,8 @@
 // Size-classed, thread-local task allocator.
 //
-// Every cilk_spawn allocates a task object; the paper's <2%-overhead claim
-// (Sec. 3) depends on that path being cheap. A global operator new costs a
+// A cilk_spawn whose closure is too big for its slot's record buffer
+// (runtime/slot_arena.hpp) allocates its task object here; every other
+// spawn keeps its record in the slot and allocates nothing. A global operator new costs a
 // lock or a CAS in most allocators; this pool recycles task blocks through
 // thread-local free lists (a task may be freed on a different worker than
 // the one that allocated it — blocks simply migrate to the freeing worker's
@@ -25,8 +26,9 @@
 // across threads, including threads that have already exited). The global
 // balance — allocs == frees once a computation is quiescent — is the leak
 // oracle used by tests/task_pool_test.cpp and the stress harness: every
-// spawn allocates exactly one block and every executed task frees it, so an
-// imbalance means a leaked or double-freed task.
+// oversize spawn allocates exactly one block and its child frees it before
+// signalling the parent, so an imbalance means a leaked or double-freed
+// task.
 //
 // With CILKPP_SLAB (the default) the block storage behind this interface is
 // the slab magazines of src/alloc: the pool keeps its counter taxonomy and
@@ -228,8 +230,8 @@ struct task_pool_stats {
            static_cast<std::int64_t>(total_frees());
   }
   /// Leak-balance oracle: true iff every allocated block has been freed.
-  /// Only meaningful while no computation is in flight (a worker between
-  /// t->execute() and destroy_task holds one live block).
+  /// Only meaningful while no computation is in flight (a running
+  /// oversize-closure child holds one live block).
   bool balanced() const { return live() == 0; }
   /// Requests above the largest size class. Non-zero means some spawn_task
   /// closure outgrew the pool — it was still served (slab class or heap)

@@ -320,6 +320,26 @@ void stress_harness::run_case(const stress_case& c, fuzz_report& rep) {
                memlens::render_lenses(ml.records(), d.procedures()).c_str()));
     }
 #endif
+    // The zero-race, zero-lint and zero-lens verdicts above hold only if
+    // the analyses saw every access: a spill drops history, so a clean
+    // report after one proves nothing about the dropped part.
+    const std::uint64_t history_spills = d.stats().history_spills;
+    std::uint64_t edge_spills = 0;
+    std::uint64_t accessor_spills = 0;
+#if CILKPP_LINT_ENABLED
+    edge_spills = la.stats().edge_spills;
+#endif
+#if CILKPP_MEMLENS_ENABLED
+    accessor_spills = ml.stats().accessor_spills;
+#endif
+    if (history_spills != 0 || edge_spills != 0 || accessor_spills != 0) {
+      fail("screen-incomplete",
+           fmt("analysis spilled (history_spills=%llu edge_spills=%llu "
+               "accessor_spills=%llu); the zero-report verdicts are void",
+               static_cast<unsigned long long>(history_spills),
+               static_cast<unsigned long long>(edge_spills),
+               static_cast<unsigned long long>(accessor_spills)));
+    }
   }
 
   // --- Threaded runtime under chaos. ---

@@ -91,10 +91,10 @@ struct fuzz_report {
   std::string summary() const;
 };
 
-/// Waits (bounded) until the task pool is globally leak-balanced: task
-/// destruction may lag run()'s return by a beat, because a worker frees its
-/// last task after decrementing the parent's pending count. Returns false
-/// on timeout.
+/// Waits (bounded) until the task pool is globally leak-balanced. A child
+/// frees its pooled spawn record before it signals its parent, so the pool
+/// balances by the time run() returns; the bound turns a leak into a clean
+/// failure. Returns false on timeout.
 bool wait_task_pool_balanced(unsigned timeout_ms = 2000);
 
 /// Runs stress cases against cached schedulers. Chaos policies are kept

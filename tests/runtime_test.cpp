@@ -9,6 +9,8 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <iterator>
+#include <list>
 #include <memory>
 #include <numeric>
 #include <cstring>
@@ -23,6 +25,8 @@
 #include "runtime/scheduler.hpp"
 #include "runtime/serial.hpp"
 #include "runtime/slot_arena.hpp"
+#include "runtime/task_pool.hpp"
+#include "stress/chaos.hpp"
 
 namespace cilkpp::rt {
 namespace {
@@ -711,12 +715,14 @@ TEST(Mutex, ContentionDetectedUnderParallelUse) {
   // occasionally (not asserted strictly — a 1-core box may serialize).
 }
 
-// --- slot_arena: the stable-address storage under the lock-free join
-// (DESIGN.md §4). A child holds a raw frame_slot* across its whole
-// execution, so append must never move existing slots. ---
+// --- slot_arena: a frame's window on its worker's slot stack, the
+// stable-address storage under the lock-free join (DESIGN.md §4). A child
+// holds a raw frame_slot* across its whole execution, so append must never
+// move existing slots. ---
 
 TEST(SlotArena, AddressesStableAcrossGrowth) {
-  slot_arena a;
+  slot_stack stack;
+  slot_arena a(stack);
   std::vector<frame_slot*> addrs;
   for (int i = 0; i < 200; ++i) {
     addrs.push_back(a.append(/*is_child=*/true));
@@ -729,6 +735,7 @@ TEST(SlotArena, AddressesStableAcrossGrowth) {
     }
   }
   EXPECT_EQ(a.size(), 200u);
+  EXPECT_EQ(stack.top(), 200u);
   EXPECT_TRUE(a.has_children());
   EXPECT_EQ(a.last(), addrs.back());
   // All distinct.
@@ -738,22 +745,25 @@ TEST(SlotArena, AddressesStableAcrossGrowth) {
 }
 
 TEST(SlotArena, ChunksReusedAcrossEpochs) {
-  slot_arena a;
+  slot_stack stack;
+  slot_arena a(stack);
   std::vector<frame_slot*> first_epoch;
   for (int i = 0; i < 100; ++i) first_epoch.push_back(a.append(true));
   a.clear();
   EXPECT_TRUE(a.empty());
   EXPECT_FALSE(a.has_children());
   EXPECT_EQ(a.last(), nullptr);
-  // The next epoch walks the same inline slots and retained chunks: every
-  // append returns the identical address, with no allocator traffic.
+  EXPECT_EQ(stack.top(), 0u);
+  // The next epoch walks the same retained chunks: every append returns the
+  // identical address, with no allocator traffic.
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(a.append(i % 2 == 0), first_epoch[static_cast<std::size_t>(i)]);
   }
 }
 
 TEST(SlotArena, ResetCleanDropsStructureInPlace) {
-  slot_arena a;
+  slot_stack stack;
+  slot_arena a(stack);
   std::vector<frame_slot*> addrs;
   for (int i = 0; i < 40; ++i) addrs.push_back(a.append(true));
   EXPECT_TRUE(a.all_children());
@@ -766,6 +776,32 @@ TEST(SlotArena, ResetCleanDropsStructureInPlace) {
     EXPECT_FALSE(s->is_child);  // append refreshes the stale mark
   }
   EXPECT_FALSE(a.all_children());
+}
+
+TEST(SlotArena, NestedWindowsStackAndRelease) {
+  // A nested frame's window starts at the top of its worker's stack and
+  // gives the slots back when it is cleared, so the enclosing window's next
+  // append lands right after its own last slot.
+  slot_stack stack;
+  slot_arena outer(stack);
+  frame_slot* o0 = outer.append(true);
+  frame_slot* o1 = outer.append(false);
+  {
+    slot_arena inner(stack);
+    EXPECT_TRUE(inner.empty());
+    for (int i = 0; i < 50; ++i) inner.append(true);
+    EXPECT_EQ(inner.size(), 50u);
+    inner.clear();
+    EXPECT_EQ(stack.top(), 2u);
+  }
+  EXPECT_EQ(outer.size(), 2u);
+  EXPECT_EQ(outer.last(), o1);
+  EXPECT_TRUE(outer.has_children());
+  EXPECT_FALSE(outer.all_children());
+  std::vector<frame_slot*> seen;
+  outer.for_each([&](frame_slot& s) { seen.push_back(&s); });
+  EXPECT_EQ(seen, (std::vector<frame_slot*>{o0, o1}));
+  EXPECT_EQ(outer.append(true), &stack.at(2));
 }
 
 // --- Exception safety of view ownership transfers: a user reduce or absorb
@@ -884,6 +920,227 @@ TEST(WideFanout, RepeatedWideSyncsReuseArenaChunks) {
     }
   });
   EXPECT_EQ(total.load(), 50'000u);
+}
+
+// --- The work-first spawn protocol (DESIGN.md §4): spawn records live in
+// the child's slot, the owner joins popped children with a plain count,
+// and only stolen children touch the atomic join counter. ---
+
+/// A capture that poisons itself when destroyed, so a read after the
+/// closure's destruction is caught even without a sanitizer.
+struct guarded_capture {
+  static constexpr std::uint64_t live_tag = 0x600dcafe;
+  std::uint64_t tag = live_tag;
+  std::uint64_t values[4] = {1, 2, 3, 4};
+  guarded_capture() = default;
+  guarded_capture(const guarded_capture&) = default;
+  guarded_capture& operator=(const guarded_capture&) = default;
+  ~guarded_capture() {
+    tag = 0;
+    std::fill(std::begin(values), std::end(values), 0);
+  }
+};
+
+TEST(SpawnProtocol, GrandchildrenReadClosureCapturesAfterBodyReturns) {
+  // The closure's body spawns grandchildren that read its by-value
+  // captures and returns WITHOUT a sync, so every grandchild runs after the
+  // body returned — during the child's implicit sync or on a thief. The
+  // closure (living in the child's slot) must survive until that sync.
+  stress::chaos_params params;
+  params.prefer_steal_chance = 0xffff;  // force-steal nearly everything
+  stress::seeded_chaos chaos(params, 7, 4);
+  scheduler sched(4);
+  sched.install_chaos(&chaos);
+  std::atomic<std::uint64_t> sum{0};
+  std::atomic<int> dead_reads{0};
+  constexpr int children = 16;
+  constexpr int grandchildren = 8;
+  for (int round = 0; round < 10; ++round) {
+    sched.run([&](context& ctx) {
+      for (int i = 0; i < children; ++i) {
+        ctx.spawn([cap = guarded_capture{}, &sum, &dead_reads](context& c) {
+          for (int k = 0; k < grandchildren; ++k) {
+            c.spawn([&cap, &sum, &dead_reads, k](context&) {
+              std::this_thread::yield();
+              if (cap.tag != guarded_capture::live_tag) dead_reads.fetch_add(1);
+              sum.fetch_add(cap.values[k % 4]);
+            });
+          }
+        });
+      }
+      ctx.sync();
+    });
+  }
+  sched.remove_chaos();
+  EXPECT_EQ(dead_reads.load(), 0);
+  // Σ over k < 8 of values[k % 4] = 2·(1+2+3+4) = 20 per child.
+  EXPECT_EQ(sum.load(), 10u * children * 20u);
+#if CILKPP_STRESS_ENABLED
+  EXPECT_GT(chaos.stats().forced_steals, 0u);
+  EXPECT_GT(sched.stats().steals, 0u);
+#endif
+}
+
+TEST(SpawnProtocol, LocalAndStolenChildrenBothThrowEarliestWins) {
+  // Child A (serially first) is stolen — the parent does not reach its
+  // sync until a thief has started A — and throws after child B, which the
+  // parent pops and runs itself, has thrown. The fold must wait for both
+  // and pick A's exception.
+  scheduler sched(4);
+  int mixed_rounds = 0;
+  for (int round = 0; round < 5; ++round) {
+    std::atomic<bool> a_started{false};
+    std::atomic<int> ran{0};
+    unsigned a_worker = 0;
+    unsigned b_worker = 0;
+    unsigned parent_worker = 0;
+    try {
+      sched.run([&](context& ctx) {
+        parent_worker = ctx.worker_id();
+        ctx.spawn([&](context& c) {
+          a_worker = c.worker_id();
+          a_started.store(true);
+          std::this_thread::sleep_for(std::chrono::milliseconds(10));
+          ran.fetch_add(1);
+          throw std::runtime_error("stolen child");
+        });
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!a_started.load() && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        ctx.spawn([&](context& c) {
+          b_worker = c.worker_id();
+          ran.fetch_add(1);
+          throw std::runtime_error("local child");
+        });
+        ctx.sync();
+      });
+      FAIL() << "expected the sync to rethrow a child exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "stolen child");
+    }
+    EXPECT_EQ(ran.load(), 2);  // both children joined before the rethrow
+    EXPECT_NE(a_worker, parent_worker);
+    // B is popped by the parent at its sync unless a thief wins that race,
+    // which is rare; over all rounds the mixed case must have occurred.
+    if (b_worker == parent_worker) ++mixed_rounds;
+  }
+  EXPECT_GT(mixed_rounds, 0);
+}
+
+TEST(SpawnProtocol, CalledFrameFoldsViewsIntoParentAfterReleasingWindow) {
+  // finish_called takes the callee's views and releases its window before
+  // appending a segment to the parent's window, which is then the top of
+  // the slot stack again. The list reducer checks the serial order.
+  scheduler sched(4);
+  for (int round = 0; round < 50; ++round) {
+    cilk::reducer<cilk::hyper::list_append<int>> out;
+    sched.run([&](context& ctx) {
+      out.view(ctx).push_back(0);
+      ctx.spawn([&](context& c) { out.view(c).push_back(1); });
+      const std::size_t top = ctx.slot_stack_top();
+      ctx.call([&](context& f) {
+        EXPECT_EQ(f.slot_stack_top(), top);  // an empty window on top
+        out.view(f).push_back(2);
+        f.spawn([&](context& c) { out.view(c).push_back(3); });
+        out.view(f).push_back(4);
+      });
+      // The callee's folded views became one segment slot in this window.
+      EXPECT_EQ(ctx.slot_stack_top(), top + 1);
+      out.view(ctx).push_back(5);
+      ctx.spawn([&](context& c) { out.view(c).push_back(6); });
+      ctx.sync();
+    });
+    const std::list<int> expected{0, 1, 2, 3, 4, 5, 6};
+    EXPECT_EQ(out.value(), expected) << "round " << round;
+  }
+}
+
+TEST(SpawnProtocol, ExceptionThroughCallRestoresSlotStackTop) {
+  // A called frame that throws after spawning (more children than one
+  // slot chunk holds) and opening reducer segments must give its whole
+  // window back: the stack top returns to the caller's, and no view in the
+  // released slots leaks.
+  struct live_view final : view_base {
+    explicit live_view(std::atomic<int>* live) : live(live) { ++*live; }
+    ~live_view() override { --*live; }
+    std::atomic<int>* live;
+  };
+  struct live_hyper final : hyperobject_base {
+    std::unique_ptr<view_base> identity_view() const override {
+      return std::make_unique<live_view>(live);
+    }
+    void reduce_views(view_base&, view_base&) const override {}
+    void absorb_final(std::unique_ptr<view_base>) override {}
+    std::atomic<int>* live = nullptr;
+  };
+  std::atomic<int> live{0};
+  live_hyper h;
+  h.live = &live;
+  scheduler sched(2);
+  for (int round = 0; round < 10; ++round) {
+    sched.run([&](context& ctx) {
+      EXPECT_EQ(ctx.slot_stack_top(), 0u);
+      ctx.spawn([&](context& c) { (void)c.hyper_view(h); });
+      const std::size_t top = ctx.slot_stack_top();
+      EXPECT_THROW(ctx.call([&](context& f) {
+        (void)f.hyper_view(h);
+        for (std::size_t i = 0; i < 2 * slot_stack::chunk_slots; ++i) {
+          f.spawn([&](context& c) { (void)c.hyper_view(h); });
+        }
+        throw std::runtime_error("call");
+      }), std::runtime_error);
+      EXPECT_EQ(ctx.slot_stack_top(), top);
+      // A callee that returns without syncing a throwing child: the
+      // exception surfaces from the callee's implicit sync, out of call().
+      EXPECT_THROW(ctx.call([&](context& f) {
+        f.spawn([&](context& c) {
+          (void)c.hyper_view(h);
+          throw std::runtime_error("implicit");
+        });
+      }), std::runtime_error);
+      EXPECT_EQ(ctx.slot_stack_top(), top);
+      // The released slots are pristine for the next window.
+      ctx.call([&](context& f) {
+        for (int i = 0; i < 8; ++i) f.spawn([](context&) {});
+      });
+      EXPECT_EQ(ctx.slot_stack_top(), top);
+      ctx.sync();
+    });
+    EXPECT_EQ(live.load(), 0);
+  }
+}
+
+TEST(SpawnProtocol, OversizeClosureRunsThroughTaskAllocateAndBalances) {
+  struct big_capture {
+    unsigned char bytes[frame_slot::record_bytes] = {};
+  };
+  scheduler sched(4);
+  constexpr int n = 200;
+  std::atomic<std::uint64_t> sum{0};
+  const task_pool_stats before = task_pool_totals();
+  sched.run([&](context& ctx) {
+    for (int i = 0; i < n; ++i) {
+      big_capture cap;
+      cap.bytes[sizeof(cap.bytes) - 1] = static_cast<unsigned char>(i % 7);
+      ctx.spawn([cap, &sum](context&) {
+        sum.fetch_add(cap.bytes[sizeof(cap.bytes) - 1]);
+      });
+    }
+    ctx.sync();
+  });
+  const task_pool_stats after = task_pool_totals();
+  std::uint64_t expected = 0;
+  for (int i = 0; i < n; ++i) expected += static_cast<std::uint64_t>(i % 7);
+  EXPECT_EQ(sum.load(), expected);
+  // Exactly one block per oversize spawn, every one of them freed before
+  // its child signalled — so the pool balances the moment run() returns.
+  EXPECT_EQ(after.total_allocs() - before.total_allocs(),
+            static_cast<std::uint64_t>(n));
+  EXPECT_EQ(after.total_frees() - before.total_frees(),
+            static_cast<std::uint64_t>(n));
+  EXPECT_EQ(after.live(), before.live());
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Task-pool statistics and the leak-balance oracle (the allocator behind
-// every cilk_spawn): per-class alloc/free/reuse accounting, the oversize
-// heap fallback, and global balance once schedulers are quiescent.
+// spawn records too big for their slot): per-class alloc/free/reuse
+// accounting, the oversize heap fallback, and global balance once
+// schedulers are quiescent.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <thread>
@@ -16,8 +18,9 @@ using namespace cilkpp::rt;
 
 task_pool_stats snap() { return task_pool_totals(); }
 
-/// Task destruction may lag run()'s return by a beat: the freeing worker
-/// decrements the parent's pending count before destroy_task runs.
+/// A child frees its pooled spawn record before it signals its parent, so
+/// the pool balances by the time run() returns; the bounded wait only
+/// turns a leak into a clean failure instead of a snapshot race.
 bool wait_balanced(unsigned timeout_ms = 2000) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
@@ -28,6 +31,23 @@ bool wait_balanced(unsigned timeout_ms = 2000) {
     std::this_thread::yield();
   }
   return true;
+}
+
+/// A closure bigger than a slot's record buffer: its spawn record cannot
+/// live in the child's slot and falls back to one task_allocate block.
+struct oversize_capture {
+  unsigned char bytes[frame_slot::record_bytes] = {};
+};
+
+std::uint64_t oversize_fanout(context& ctx, unsigned width) {
+  std::atomic<std::uint64_t> n{0};
+  for (unsigned i = 0; i < width; ++i) {
+    oversize_capture cap;
+    cap.bytes[0] = 1;
+    ctx.spawn([cap, &n](context&) { n.fetch_add(cap.bytes[0]); });
+  }
+  ctx.sync();
+  return n.load();
 }
 
 std::uint64_t tree_sum(context& ctx, unsigned depth) {
@@ -141,10 +161,11 @@ TEST(TaskPoolStats, LiveTracksOutstandingBlocks) {
 }
 
 TEST(TaskPoolStats, BalancedAfterSchedulerRuns) {
-  // The leak oracle: every spawn allocates exactly one task block and every
-  // executed task frees it, so the pool balances at quiescence no matter
-  // which worker freed which block.
+  // The leak oracle: a spawn whose record fits its slot draws no pool
+  // block, an oversize-closure spawn draws exactly one, and the pool
+  // balances at quiescence no matter which worker freed which block.
   const task_pool_stats before = snap();
+  task_pool_stats mid;
   {
     scheduler sched(4);
     for (int round = 0; round < 4; ++round) {
@@ -152,19 +173,27 @@ TEST(TaskPoolStats, BalancedAfterSchedulerRuns) {
           sched.run([](context& ctx) { return tree_sum(ctx, 10); });
       EXPECT_EQ(sum, std::uint64_t{1} << 10);
     }
+    // 4 x (2^10 - 1) in-slot spawns, zero blocks.
+    mid = snap();
+    EXPECT_EQ(mid.total_allocs(), before.total_allocs());
+    for (int round = 0; round < 4; ++round) {
+      const std::uint64_t n =
+          sched.run([](context& ctx) { return oversize_fanout(ctx, 256); });
+      EXPECT_EQ(n, 256u);
+    }
     ASSERT_TRUE(wait_balanced());
   }
   const task_pool_stats after = snap();
   EXPECT_TRUE(after.balanced())
       << after.total_allocs() << " allocs vs " << after.total_frees()
       << " frees";
-  // 4 rounds x (2^10 - 1) spawns actually flowed through the pool...
-  EXPECT_GE(after.total_allocs(), before.total_allocs() + 4 * 1023);
-  // ...and repeat runs recycle blocks instead of hitting operator new.
-  std::uint64_t reused = 0, before_reused = 0;
+  // Exactly one block per oversize spawn...
+  EXPECT_EQ(after.total_allocs(), mid.total_allocs() + 4 * 256);
+  // ...and repeat runs recycle those blocks instead of carving new ones.
+  std::uint64_t reused = 0, mid_reused = 0;
   for (const auto& c : after.classes) reused += c.reused;
-  for (const auto& c : before.classes) before_reused += c.reused;
-  EXPECT_GT(reused, before_reused);
+  for (const auto& c : mid.classes) mid_reused += c.reused;
+  EXPECT_GT(reused, mid_reused);
 }
 
 TEST(TaskPoolStats, BalanceSurvivesExceptionUnwinds) {
