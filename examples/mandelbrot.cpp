@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   std::vector<std::uint8_t> image(static_cast<std::size_t>(width) * height);
 
   cilk::reducer<cilk::hyper::stats_accumulate> iter_stats;
-  cilk::hyper::reducer_min_index<std::int64_t, int> costliest;  // min of -cost
+  cilk::hyper::reducer_min_index<int, std::int64_t> costliest;  // min of -cost
 
   cilkpp::stopwatch sw;
   sched.run([&](cilk::context& ctx) {

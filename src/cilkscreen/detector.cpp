@@ -6,67 +6,99 @@
 
 namespace cilkpp::screen {
 
-detector::detector() {
-  root_ = bags_.create_root();
+template <typename R>
+sp_detector<R>::sp_detector() {
   const proc_id tree_root = tree_.add_root();
-  CILKPP_ASSERT(tree_root == root_, "procedure numbering out of step");
+  CILKPP_ASSERT(tree_root == root(), "procedure numbering out of step");
   stats_.procedures = 1;
 }
 
-proc_id detector::enter_spawn(proc_id parent) {
-#if CILKPP_LINT_ENABLED
-  // Fire before the child exists: any lock still held belongs to the
-  // parent's (or an ancestor's) strand crossing this spawn boundary.
-  if (lint_ != nullptr) lint_->on_boundary(lint::boundary::spawn, parent);
-#endif
-  ++stats_.procedures;
-  const proc_id child = bags_.enter_procedure(parent);
-  const proc_id tree_child = tree_.add_spawn(parent);
+template <typename R>
+proc_id sp_detector<R>::add_child(proc_id parent, proc_id child,
+                                  proc_id tree_child) {
   CILKPP_ASSERT(tree_child == child, "procedure numbering out of step");
+  ++stats_.procedures;
 #if CILKPP_PEDIGREE_ENABLED
-  peds_.on_child(parent, child);  // after the lint boundary: it sees the
-                                  // parent's pre-spawn rank
+  peds_.on_child(parent, child);  // a spawn or a call consumes a parent rank
+#else
+  (void)parent;
 #endif
   return child;
 }
 
-void detector::exit_spawn(proc_id parent, proc_id child) {
+template <typename R>
+std::uint64_t sp_detector<R>::rank_of(proc_id p) const {
+#if CILKPP_PEDIGREE_ENABLED
+  return peds_.rank(p);
+#else
+  (void)p;
+  return 0;
+#endif
+}
+
+template <typename R>
+const ped::proc_pedigrees* sp_detector<R>::pedigrees_or_null() const {
+#if CILKPP_PEDIGREE_ENABLED
+  return &peds_;
+#else
+  return nullptr;
+#endif
+}
+
+template <typename R>
+proc_id sp_detector<R>::enter_spawn(proc_id parent) {
+#if CILKPP_LINT_ENABLED
+  // Fire before the child exists: any lock still held belongs to the
+  // parent's (or an ancestor's) strand crossing this spawn boundary. The
+  // pedigree update in add_child comes after, so lint sees the parent's
+  // pre-spawn rank.
+  if (lint_ != nullptr) lint_->on_boundary(lint::boundary::spawn, parent);
+#endif
+  const proc_id child = rel_.enter_spawn(parent);
+  return add_child(parent, child, tree_.add_spawn(parent));
+}
+
+template <typename R>
+void sp_detector<R>::exit_spawn(proc_id parent, proc_id child) {
 #if CILKPP_LINT_ENABLED
   // The spawned child's strand ends here: locks it acquired and still
   // holds are abandoned.
   if (lint_ != nullptr) lint_->on_procedure_exit(child);
 #endif
-  bags_.return_spawned(parent, child);
+  rel_.exit_spawn(parent, child);
 }
 
-proc_id detector::enter_call(proc_id parent) {
-  ++stats_.procedures;
-  const proc_id child = bags_.enter_procedure(parent);
-  const proc_id tree_child = tree_.add_call(parent);
-  CILKPP_ASSERT(tree_child == child, "procedure numbering out of step");
-#if CILKPP_PEDIGREE_ENABLED
-  peds_.on_child(parent, child);  // a call consumes a parent rank, like spawn
-#endif
-  return child;
+template <typename R>
+proc_id sp_detector<R>::enter_call(proc_id parent) {
+  const proc_id child = rel_.enter_call(parent);
+  return add_child(parent, child, tree_.add_call(parent));
 }
 
-void detector::exit_call(proc_id parent, proc_id child) {
-  bags_.return_called(parent, child);
+template <typename R>
+void sp_detector<R>::exit_call(proc_id parent, proc_id child) {
+  // The callee's implicit sync is the relation's business alone: a call
+  // return is not a strand boundary the programmer wrote, so no lint event.
+  rel_.exit_call(parent, child);
 }
 
-void detector::sync(proc_id f) {
+template <typename R>
+void sp_detector<R>::sync(proc_id f) {
 #if CILKPP_LINT_ENABLED
   if (lint_ != nullptr) lint_->on_boundary(lint::boundary::sync, f);
 #endif
-  bags_.sync(f);
+  rel_.sync(f);
 #if CILKPP_PEDIGREE_ENABLED
+  // Unconditional: the runtime's rank advances at every sync regardless of
+  // pending children.
   peds_.on_sync(f);
 #endif
 }
 
-void detector::report(race_kind rk, std::uintptr_t addr,
-                      const history_entry<proc_id>& first, proc_id current,
-                      access_kind second_kind, const char* second_label) {
+template <typename R>
+void sp_detector<R>::report(race_kind rk, std::uintptr_t addr,
+                            const entry& first, proc_id current,
+                            access_kind second_kind,
+                            const char* second_label) {
   ++stats_.races_found;
   if (rk == race_kind::view) ++stats_.view_races;
   if (races_.size() >= max_reports) return;
@@ -98,30 +130,28 @@ void detector::report(race_kind rk, std::uintptr_t addr,
   races_sorted_ = false;
 }
 
-void detector::on_access(proc_id current, const void* addr, std::size_t size,
-                         access_kind kind, const char* label) {
-  const auto parallel = [this](const history_entry<proc_id>& e) {
-    return bags_.in_p_bag(e.strand);
+template <typename R>
+void sp_detector<R>::on_access(proc_id current, const void* addr,
+                               std::size_t size, access_kind kind,
+                               const char* label) {
+  const strand cur = rel_.strand_of(current);
+  const auto parallel = [this, cur](const strand& s) {
+    return rel_.parallel(cur, s);
   };
   const auto base = reinterpret_cast<std::uintptr_t>(addr);
-#if CILKPP_PEDIGREE_ENABLED
-  const std::uint64_t cur_rank = peds_.rank(current);
-#else
-  const std::uint64_t cur_rank = 0;
-#endif
+  const std::uint64_t cur_rank = rank_of(current);
 #if CILKPP_MEMLENS_ENABLED
   // Cache-line sharing analysis rides the same stream and the same SP
   // query; it classifies whole accesses (not bytes), so it runs once per
   // event, before the byte loop.
   if (lens_ != nullptr) {
-    lens_->on_access(current, current, base, size, kind, label,
-                     [this](const proc_id& s) { return bags_.in_p_bag(s); });
+    lens_->on_access(cur, current, base, size, kind, label, parallel);
   }
 #endif
   for (std::size_t k = 0; k < size; ++k) {
     shadow_.cell(base + k).hist.access(
-        current, current, cur_rank, kind, held_, label, parallel,
-        [&](const history_entry<proc_id>& e) {
+        cur, current, cur_rank, kind, held_, label, parallel,
+        [&](const entry& e) {
           report(race_kind::determinacy, base + k, e, current, kind, label);
         },
         stats_);
@@ -131,10 +161,10 @@ void detector::on_access(proc_id current, const void* addr, std::size_t size,
   // suppress it, because views never take the raw path.
   for (hyper_state& hs : hypers_) {
     if (base + size <= hs.lo || hs.hi <= base) continue;
-    for (const history_entry<proc_id>& e : hs.views.entries()) {
+    for (const entry& e : hs.views.entries()) {
       const bool write_involved =
           e.kind == access_kind::write || kind == access_kind::write;
-      if (write_involved && parallel(e)) {
+      if (write_involved && parallel(e.strand)) {
         report(race_kind::view, hs.lo, e, current, kind, label);
       }
     }
@@ -142,39 +172,39 @@ void detector::on_access(proc_id current, const void* addr, std::size_t size,
     // The serially-ordered counterpart is lint's view-escape check: a view
     // reference cached across a strand boundary.
     if (lint_ != nullptr) {
-      lint_->on_raw_view_access(
-          hs.id, current,
-          [this](const proc_id& s) { return bags_.in_p_bag(s); }, label);
+      lint_->on_raw_view_access(hs.id, current, parallel, label);
     }
 #endif
   }
 }
 
-void detector::on_read(proc_id current, const void* addr, std::size_t size,
-                       const char* label) {
+template <typename R>
+void sp_detector<R>::on_read(proc_id current, const void* addr,
+                             std::size_t size, const char* label) {
   ++stats_.reads_checked;
   on_access(current, addr, size, access_kind::read, label);
 }
 
-void detector::on_write(proc_id current, const void* addr, std::size_t size,
-                        const char* label) {
+template <typename R>
+void sp_detector<R>::on_write(proc_id current, const void* addr,
+                              std::size_t size, const char* label) {
   ++stats_.writes_checked;
   on_access(current, addr, size, access_kind::write, label);
 }
 
-lock_id detector::register_lock() { return next_lock_++; }
-
-void detector::lock_acquired(proc_id current, lock_id id) {
+template <typename R>
+void sp_detector<R>::lock_acquired(proc_id current, lock_id id) {
   CILKPP_ASSERT(!lockset_contains(held_, id),
                 "lock acquired twice (not recursive)");
 #if CILKPP_LINT_ENABLED
   if (lint_ != nullptr) {
-    // SP-bags answers remembered-vs-current exactly; it cannot order two
-    // remembered strands, so the pair predicate is conservatively true.
+    const strand cur = rel_.strand_of(current);
     lint_->on_acquire(
-        current, current, id,
-        [this](const proc_id& s) { return bags_.in_p_bag(s); },
-        [](const proc_id&, const proc_id&) { return true; });
+        cur, current, id,
+        [this, cur](const strand& s) { return rel_.parallel(cur, s); },
+        [](const strand& earlier, const strand& later) {
+          return R::pair_parallel(earlier, later);
+        });
   }
 #else
   (void)current;
@@ -182,7 +212,8 @@ void detector::lock_acquired(proc_id current, lock_id id) {
   held_.push_back(id);
 }
 
-void detector::lock_released(proc_id current, lock_id id) {
+template <typename R>
+void sp_detector<R>::lock_released(proc_id current, lock_id id) {
   for (std::size_t i = 0; i < held_.size(); ++i) {
     if (held_[i] == id) {
       held_.swap_remove(i);
@@ -203,16 +234,19 @@ void detector::lock_released(proc_id current, lock_id id) {
 #endif
 }
 
-detector::hyper_state* detector::find_hyper(const rt::hyperobject_base& h) {
+template <typename R>
+typename sp_detector<R>::hyper_state* sp_detector<R>::find_hyper(
+    const rt::hyperobject_base& h) {
   for (hyper_state& hs : hypers_) {
     if (hs.id == &h) return &hs;
   }
   return nullptr;
 }
 
-void detector::register_hyperobject(const rt::hyperobject_base& h,
-                                    const void* base, std::size_t size,
-                                    const char* label) {
+template <typename R>
+void sp_detector<R>::register_hyperobject(const rt::hyperobject_base& h,
+                                          const void* base, std::size_t size,
+                                          const char* label) {
   const auto lo = reinterpret_cast<std::uintptr_t>(base);
 #if CILKPP_MEMLENS_ENABLED
   // The hyperobject's value bytes are a runtime-owned region: co-residency
@@ -230,23 +264,26 @@ void detector::register_hyperobject(const rt::hyperobject_base& h,
   hypers_.push_back({&h, lo, lo + size, label, {}});
 }
 
-void detector::on_view_access(proc_id current, const rt::hyperobject_base& h,
-                              const void* base, std::size_t size,
-                              access_kind kind, const char* label) {
+template <typename R>
+void sp_detector<R>::on_view_access(proc_id current,
+                                    const rt::hyperobject_base& h,
+                                    const void* base, std::size_t size,
+                                    access_kind kind, const char* label) {
+  const strand cur = rel_.strand_of(current);
   register_hyperobject(h, base, size, label);
   hyper_state& hs = *find_hyper(h);
   ++stats_.view_accesses;
-  const auto parallel = [this](const history_entry<proc_id>& e) {
-    return bags_.in_p_bag(e.strand);
+  const auto parallel = [this, cur](const strand& s) {
+    return rel_.parallel(cur, s);
   };
   // A remembered raw access logically parallel with this view access is a
   // view race (the raw strand bypassed the reducer).
   for (std::uintptr_t byte = hs.lo; byte < hs.hi; ++byte) {
     if (shadow_cell* c = shadow_.find(byte)) {
-      for (const history_entry<proc_id>& e : c->hist.entries()) {
+      for (const entry& e : c->hist.entries()) {
         const bool write_involved =
             e.kind == access_kind::write || kind == access_kind::write;
-        if (write_involved && parallel(e)) {
+        if (write_involved && parallel(e.strand)) {
           report(race_kind::view, hs.lo, e, current, kind, hs.label);
         }
       }
@@ -256,27 +293,25 @@ void detector::on_view_access(proc_id current, const rt::hyperobject_base& h,
   // the history's race callback is a no-op; the entries exist only for the
   // raw-vs-view check above and its mirror in on_access. Views are recorded
   // with an empty lockset: a lock never protects against a view race.
-#if CILKPP_PEDIGREE_ENABLED
-  const std::uint64_t cur_rank = peds_.rank(current);
-#else
-  const std::uint64_t cur_rank = 0;
-#endif
-  hs.views.access(current, current, cur_rank, kind, lockset{}, hs.label,
-                  parallel, [](const history_entry<proc_id>&) {}, stats_);
+  hs.views.access(cur, current, rank_of(current), kind, lockset{}, hs.label,
+                  parallel, [](const entry&) {}, stats_);
 }
 
 #if CILKPP_LINT_ENABLED
-void detector::on_view_fetch(proc_id current, const rt::hyperobject_base& h,
-                             const void* base, std::size_t size,
-                             const char* label) {
+template <typename R>
+void sp_detector<R>::on_view_fetch(proc_id current,
+                                   const rt::hyperobject_base& h,
+                                   const void* base, std::size_t size,
+                                   const char* label) {
   register_hyperobject(h, base, size, label);
   if (lint_ == nullptr) return;
-  lint_->on_view_fetch(&h, current, current,
+  lint_->on_view_fetch(&h, rel_.strand_of(current), current,
                        reinterpret_cast<std::uintptr_t>(base), label);
 }
 #endif
 
-const std::vector<race_record>& detector::races() const {
+template <typename R>
+const std::vector<race_record>& sp_detector<R>::races() const {
   if (!races_sorted_) {
     std::sort(races_.begin(), races_.end(), race_report_order);
     races_sorted_ = true;
@@ -284,7 +319,8 @@ const std::vector<race_record>& detector::races() const {
   return races_;
 }
 
-std::vector<std::uint64_t> detector::history_histogram() const {
+template <typename R>
+std::vector<std::uint64_t> sp_detector<R>::history_histogram() const {
   std::vector<std::uint64_t> histogram;
   shadow_.for_each([&](std::uintptr_t, const shadow_cell& c) {
     const std::size_t n = c.hist.entries().size();
@@ -293,5 +329,8 @@ std::vector<std::uint64_t> detector::history_histogram() const {
   });
   return histogram;
 }
+
+template class sp_detector<sp_bags_relation>;
+template class sp_detector<sp_order_relation>;
 
 }  // namespace cilkpp::screen

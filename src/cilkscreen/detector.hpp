@@ -12,7 +12,8 @@
 // (Pin); this reproduction intercepts through source-level hooks instead —
 // screen::cell<T> wrappers or explicit on_read/on_write calls — which feed
 // the identical algorithm (DESIGN.md substitution #3). Detection combines:
-//   * SP-bags for series-parallel relationships (spbags.hpp);
+//   * a series-parallel relation: SP-bags (spbags.hpp) or SP-order
+//     (sporder.hpp) — the only part in which the two engines differ;
 //   * ALL-SETS access histories (history.hpp): each shadow location keeps
 //     one remembered access per distinct non-subsumed lockset, so the
 //     guarantee above holds even when the same location is touched under
@@ -23,6 +24,11 @@
 //     exempt from determinacy-race reports, while a raw access logically
 //     parallel with a view access on the same hyperobject is reported as a
 //     view race (race_kind::view).
+//
+// sp_detector<Relation> is that one pipeline. A Relation supplies the
+// enter/exit spawn, enter/exit call and sync events, the strand handle of a
+// procedure (strand_of), parallel(current, remembered) and
+// pair_parallel(earlier, later); everything else lives here once.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +40,7 @@
 #include "cilkscreen/report.hpp"
 #include "cilkscreen/shadow.hpp"
 #include "cilkscreen/spbags.hpp"
+#include "cilkscreen/sporder.hpp"
 #include "lint/analyzer.hpp"
 #include "memlens/analyzer.hpp"
 
@@ -43,15 +50,19 @@ struct hyperobject_base;  // identity only; defined in runtime/hyper_iface.hpp
 
 namespace cilkpp::screen {
 
-class detector {
+template <typename Relation>
+class sp_detector {
  public:
-  detector();
+  /// The relation's strand identity, remembered in access histories.
+  using strand = typename Relation::strand;
 
-  detector(const detector&) = delete;
-  detector& operator=(const detector&) = delete;
+  sp_detector();
+
+  sp_detector(const sp_detector&) = delete;
+  sp_detector& operator=(const sp_detector&) = delete;
 
   // --- Parallel-control events (driven by screen_context). ---
-  proc_id root() const { return root_; }
+  proc_id root() const { return 0; }
   proc_id enter_spawn(proc_id parent);
   void exit_spawn(proc_id parent, proc_id child);
   proc_id enter_call(proc_id parent);
@@ -66,7 +77,7 @@ class detector {
 
   // --- Lock events (execution is serial: one global current lockset).
   // `current` is the acquiring/releasing procedure, for lint provenance. ---
-  lock_id register_lock();
+  lock_id register_lock() { return next_lock_++; }
   void lock_acquired(proc_id current, lock_id id);
   void lock_released(proc_id current, lock_id id);
 
@@ -87,19 +98,15 @@ class detector {
 
 #if CILKPP_LINT_ENABLED
   // --- Lock-discipline analysis (cilk::lint). ---
-  /// The lint analyzer for this engine: strands are identified by proc_id,
-  /// and the SP-bags pair-parallel predicate is conservative (SP-bags can
-  /// only order a remembered strand against the CURRENT one) — see
-  /// lint/analyzer.hpp.
-  using lint_analyzer = lint::analyzer<proc_id>;
+  /// Strands are the relation's; so is the pair-parallel predicate —
+  /// conservative under SP-bags, exact under SP-order (lint/analyzer.hpp).
+  using lint_analyzer = lint::analyzer<strand>;
   /// Attaches (nullptr: detaches) an analyzer; it receives every lock,
   /// boundary, and view-identity event from here on. The analyzer must
   /// outlive its attachment; call la->finish() after the run.
   void attach_lint(lint_analyzer* la) {
     lint_ = la;
-#if CILKPP_PEDIGREE_ENABLED
-    if (la != nullptr) la->set_pedigrees(&peds_);
-#endif
+    if (la != nullptr) la->set_pedigrees(pedigrees_or_null());
   }
   lint_analyzer* attached_lint() const { return lint_; }
   /// A strand *obtained* a reducer view (reducer::view under a screen
@@ -112,18 +119,17 @@ class detector {
 
 #if CILKPP_MEMLENS_ENABLED
   // --- Cache-line sharing analysis (cilk::memlens). ---
-  /// The memlens analyzer for this engine: strands are identified by
-  /// proc_id and the remembered-vs-current parallel predicate is the
-  /// engine's own (exact) race query — see memlens/analyzer.hpp.
-  using memlens_analyzer = memlens::analyzer<proc_id>;
+  /// Strands are the relation's and the remembered-vs-current predicate is
+  /// its (exact) race query; accessor identity inside the analyzer is
+  /// (proc, pedigree rank), which is what makes the two relations' lens
+  /// reports bit-identical (memlens/analyzer.hpp).
+  using memlens_analyzer = memlens::analyzer<strand>;
   /// Attaches (nullptr: detaches) an analyzer; it receives every
   /// instrumented access and registered region from here on. The analyzer
   /// must outlive its attachment; call ml->finish() after the run.
   void attach_memlens(memlens_analyzer* ml) {
     lens_ = ml;
-#if CILKPP_PEDIGREE_ENABLED
-    if (ml != nullptr) ml->set_pedigrees(&peds_);
-#endif
+    if (ml != nullptr) ml->set_pedigrees(pedigrees_or_null());
   }
   memlens_analyzer* attached_memlens() const { return lens_; }
   /// Registers a runtime-owned allocation for the padding lints (reducer
@@ -144,6 +150,12 @@ class detector {
   const proc_tree& procedures() const { return tree_; }
   /// histogram[n] = number of touched shadow bytes remembering n accesses.
   std::vector<std::uint64_t> history_histogram() const;
+  /// Order-maintenance relabels (SP-order only).
+  std::uint64_t relabel_count() const
+    requires requires(const Relation& r) { r.relabel_count(); }
+  {
+    return rel_.relabel_count();
+  }
 #if CILKPP_PEDIGREE_ENABLED
   /// Pedigree bookkeeping (one entry per procedure, same rank rules as the
   /// runtime — reports carry these so they compare across engines/runs).
@@ -158,24 +170,29 @@ class detector {
   static constexpr std::size_t max_reports = 1000;
 
  private:
+  using entry = history_entry<strand>;
   struct shadow_cell {
-    access_history<proc_id> hist;
+    access_history<strand> hist;
   };
   struct hyper_state {
     const rt::hyperobject_base* id = nullptr;
     std::uintptr_t lo = 0, hi = 0;  // the value's bytes, [lo, hi)
     const char* label = nullptr;
-    access_history<proc_id> views;
+    access_history<strand> views;
   };
 
+  proc_id add_child(proc_id parent, proc_id child, proc_id tree_child);
+  /// p's current pedigree rank (0 when pedigrees are compiled out).
+  std::uint64_t rank_of(proc_id p) const;
+  const ped::proc_pedigrees* pedigrees_or_null() const;
   void on_access(proc_id current, const void* addr, std::size_t size,
                  access_kind kind, const char* label);
-  void report(race_kind rk, std::uintptr_t addr,
-              const history_entry<proc_id>& first, proc_id current,
-              access_kind second_kind, const char* second_label);
+  void report(race_kind rk, std::uintptr_t addr, const entry& first,
+              proc_id current, access_kind second_kind,
+              const char* second_label);
   hyper_state* find_hyper(const rt::hyperobject_base& h);
 
-  sp_bags bags_;
+  Relation rel_;
 #if CILKPP_LINT_ENABLED
   lint_analyzer* lint_ = nullptr;
 #endif
@@ -185,7 +202,6 @@ class detector {
 #if CILKPP_PEDIGREE_ENABLED
   ped::proc_pedigrees peds_;
 #endif
-  proc_id root_;
   proc_tree tree_;
   shadow_table<shadow_cell> shadow_;
   std::vector<hyper_state> hypers_;
@@ -196,5 +212,13 @@ class detector {
   std::unordered_set<std::uint64_t> reported_;  // dedup per (address, kinds)
   detector_stats stats_;
 };
+
+extern template class sp_detector<sp_bags_relation>;
+extern template class sp_detector<sp_order_relation>;
+
+/// The SP-bags engine (what Cilkscreen shipped) and the SP-order engine
+/// (paper ref [2]).
+using detector = sp_detector<sp_bags_relation>;
+using order_detector = sp_detector<sp_order_relation>;
 
 }  // namespace cilkpp::screen

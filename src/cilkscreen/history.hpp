@@ -26,9 +26,9 @@
 // preserved — no false positives — while completeness degrades only for
 // locations touched under more than history_capacity distinct locksets).
 //
-// The template is shared by both engines: Sid is the engine's strand
-// identity (proc_id for SP-bags, an order-maintenance node for SP-order);
-// the parallelism test is passed in as a predicate.
+// Sid is the SP relation's strand identity (proc_id for SP-bags, an
+// order-maintenance node for SP-order); the parallelism test is passed in
+// as a predicate over it.
 #pragma once
 
 #include <cstdint>
@@ -62,8 +62,8 @@ class access_history {
  public:
   /// Processes one access: reports races against the remembered accesses,
   /// then performs ALL-SETS maintenance.
-  ///   parallel(entry) — is the remembered strand logically parallel with
-  ///                     the currently executing one?
+  ///   parallel(strand) — is the remembered strand logically parallel with
+  ///                      the currently executing one?
   ///   report(entry)   — called for each remembered access that races with
   ///                     this one (parallel, disjoint locksets, ≥1 write).
   template <typename Parallel, typename Report>
@@ -75,7 +75,7 @@ class access_history {
     std::size_t out = 0;
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       history_entry<Sid>& e = entries_[i];
-      const bool par = parallel(e);
+      const bool par = parallel(e.strand);
       const bool write_involved =
           e.kind == access_kind::write || kind == access_kind::write;
       if (par && write_involved) {

@@ -74,4 +74,34 @@ class sp_bags {
   std::vector<proc_id> p_bag_of_;
 };
 
+/// SP-bags as the series-parallel relation of sp_detector (detector.hpp).
+/// A strand is named by its procedure. SP-bags answers remembered-vs-current
+/// exactly but cannot order two remembered strands, so pair_parallel is
+/// conservatively true (lint/analyzer.hpp).
+class sp_bags_relation {
+ public:
+  using strand = proc_id;
+
+  sp_bags_relation() { bags_.create_root(); }
+
+  proc_id enter_spawn(proc_id parent) { return bags_.enter_procedure(parent); }
+  void exit_spawn(proc_id parent, proc_id child) {
+    bags_.return_spawned(parent, child);
+  }
+  proc_id enter_call(proc_id parent) { return bags_.enter_procedure(parent); }
+  void exit_call(proc_id parent, proc_id child) {
+    bags_.return_called(parent, child);
+  }
+  void sync(proc_id f) { bags_.sync(f); }
+
+  strand strand_of(proc_id p) const { return p; }
+  bool parallel(strand, strand remembered) {
+    return bags_.in_p_bag(remembered);
+  }
+  static bool pair_parallel(strand, strand) { return true; }
+
+ private:
+  sp_bags bags_;
+};
+
 }  // namespace cilkpp::screen

@@ -13,6 +13,7 @@
 
 #include "dag/builder.hpp"
 #include "dag/graph.hpp"
+#include "runtime/lowering.hpp"
 
 namespace cilkpp::dag {
 
@@ -54,6 +55,10 @@ class recorder_context {
   /// recorder's clock: workloads call it with their per-step costs.
   void account(std::uint64_t units) { builder_->account(units); }
 
+  /// parallel_for charges one unit of split bookkeeping per split to the
+  /// continuation strand.
+  static constexpr std::uint64_t pfor_split_units = 1;
+
   /// The underlying builder (e.g. to note which strand an event occurred
   /// in via builder().current()).
   sp_builder& builder() const { return *builder_; }
@@ -67,58 +72,9 @@ class recorder_context {
   sp_builder* builder_;
 };
 
-template <typename Index, typename Body>
-void record_for_impl(recorder_context& ctx, Index lo, Index hi,
-                     const Body& body, std::uint64_t grain) {
-  if constexpr (std::is_invocable_v<const Body&, recorder_context&, Index>) {
-    while (static_cast<std::uint64_t>(hi - lo) > grain) {
-      Index mid = lo + (hi - lo) / 2;
-      ctx.spawn([lo, mid, &body, grain](recorder_context& child) {
-        record_for_impl(child, lo, mid, body, grain);
-      });
-      ctx.account(1);  // split bookkeeping on the continuation strand
-      lo = mid;
-    }
-    for (Index i = lo; i < hi; ++i) body(ctx, i);
-    ctx.sync();
-  } else {
-    // Mirror of the runtime's body(i) burst lowering (parallel_for.hpp),
-    // so the recorded dag keeps cilk_for's shape: halve down to 32 grains,
-    // then one spawned leaf per grain with the last grain inline.
-    const std::uint64_t burst =
-        grain > ~std::uint64_t{0} / 32 ? ~std::uint64_t{0} : 32 * grain;
-    while (static_cast<std::uint64_t>(hi - lo) > burst) {
-      Index mid = lo + (hi - lo) / 2;
-      ctx.spawn([lo, mid, &body, grain](recorder_context& child) {
-        record_for_impl(child, lo, mid, body, grain);
-      });
-      ctx.account(1);  // split bookkeeping on the continuation strand
-      lo = mid;
-    }
-    while (static_cast<std::uint64_t>(hi - lo) > grain) {
-      Index mid = lo + static_cast<decltype(hi - lo)>(grain);
-      ctx.spawn([lo, mid, &body](recorder_context&) {
-        for (Index i = lo; i < mid; ++i) body(i);
-      });
-      ctx.account(1);  // split bookkeeping on the continuation strand
-      lo = mid;
-    }
-    for (Index i = lo; i < hi; ++i) body(i);
-    ctx.sync();
-  }
-}
-
-/// parallel_for lowering for the recorder: the same binary splitting the
-/// runtime performs, so the recorded dag matches cilk_for's (Sec. 2).
-template <typename Index, typename Body>
-void parallel_for(recorder_context& ctx, Index begin, Index end,
-                  const Body& body, std::uint64_t grain = 1) {
-  if (begin >= end) return;
-  if (grain == 0) grain = 1;
-  ctx.call([&](recorder_context& loop_frame) {
-    record_for_impl(loop_frame, begin, end, body, grain);
-  });
-}
+/// parallel_for is the shared lowering (runtime/lowering.hpp), so the
+/// recorded dag matches cilk_for's (Sec. 2) as the runtime executes it.
+using rt::parallel_for;
 
 /// A mutex for recorded workloads: lock()/unlock() bracket a critical
 /// section in the recorded dag, which the simulator then executes under

@@ -48,6 +48,7 @@
 #include "pedigree/pedigree.hpp"
 #include "runtime/task_pool.hpp"
 #include "runtime/hyper_iface.hpp"
+#include "runtime/lowering.hpp"
 #include "runtime/slot_arena.hpp"
 #include "support/assert.hpp"
 #include "support/cache.hpp"
@@ -408,6 +409,9 @@ class context {
   /// model; user code spawns real frames.
   template <typename Index, typename Body>
   void spawn_leaf(Index begin, Index end, Body&& body);
+
+  /// parallel_for's grain when the caller passes 0: default_grain(n, P).
+  std::uint64_t pfor_default_grain(std::uint64_t n) const;
 
   /// cilk_sync: wait for every child this function instance spawned.
   /// Rethrows the (serially earliest) child exception, if any.
@@ -852,6 +856,10 @@ void context::spawn_record(Args&&... args) {
 template <typename Fn>
 void context::spawn(Fn&& fn) {
   spawn_record<spawn_task<std::decay_t<Fn>>>(std::forward<Fn>(fn));
+}
+
+inline std::uint64_t context::pfor_default_grain(std::uint64_t n) const {
+  return default_grain(n, sched().num_workers());
 }
 
 template <typename Index, typename Body>

@@ -16,10 +16,10 @@
 #pragma once
 
 #include <cstdint>
-#include <type_traits>
 #include <utility>
 
 #include "pedigree/pedigree.hpp"
+#include "runtime/lowering.hpp"
 
 namespace cilkpp::rt {
 
@@ -68,6 +68,13 @@ class serial_context {
 
   std::uint64_t accounted_work() const { return *work_; }
 
+  /// parallel_for's grain when the caller passes 0: the runtime's rule at
+  /// P = 1. Pass an explicit grain when comparing pedigrees or dprng
+  /// streams against a multi-worker run.
+  static std::uint64_t pfor_default_grain(std::uint64_t n) {
+    return default_grain(n, 1);
+  }
+
 #if CILKPP_PEDIGREE_ENABLED
   /// Strand identity and DPRNG, identical to rt::context's for the same
   /// strand (same hash chain, same draw indexing).
@@ -96,73 +103,6 @@ class serial_context {
   std::uint64_t draws_ = 0;
 #endif
 };
-
-/// parallel_for lowering under elision. Executes the iterations serially in
-/// order, but mirrors the runtime's frame structure exactly — the same call
-/// frame, halving spawns, body(i) inline fast path, and sync — so loop
-/// strands get the same pedigrees under both engines. The default grain is
-/// the runtime's rule at P = 1; pass an explicit grain when comparing
-/// pedigrees or dprng streams against a multi-worker run.
-template <typename Index, typename Body>
-void serial_for_impl(serial_context& ctx, Index lo, Index hi, const Body& body,
-                     std::uint64_t grain) {
-  if constexpr (std::is_invocable_v<const Body&, serial_context&, Index>) {
-    while (static_cast<std::uint64_t>(hi - lo) > grain) {
-      Index mid = lo + (hi - lo) / 2;
-      ctx.spawn([lo, mid, &body, grain](serial_context& child) {
-        serial_for_impl(child, lo, mid, body, grain);
-      });
-      lo = mid;
-    }
-    for (Index i = lo; i < hi; ++i) body(ctx, i);
-    ctx.sync();
-  } else {
-    // Mirror of the runtime's burst lowering (parallel_for.hpp): halve
-    // down to pfor_burst_grains grains, then one leaf strand per grain —
-    // each an elided spawn consuming one rank, exactly as spawn_leaf does —
-    // with the last grain inline on this frame's strand.
-    const std::uint64_t burst =
-        grain > ~std::uint64_t{0} / 32 ? ~std::uint64_t{0} : 32 * grain;
-    while (static_cast<std::uint64_t>(hi - lo) > burst) {
-      Index mid = lo + (hi - lo) / 2;
-      ctx.spawn([lo, mid, &body, grain](serial_context& child) {
-        serial_for_impl(child, lo, mid, body, grain);
-      });
-      lo = mid;
-    }
-    while (static_cast<std::uint64_t>(hi - lo) > grain) {
-      Index mid = lo + static_cast<decltype(hi - lo)>(grain);
-      ctx.spawn([lo, mid, &body](serial_context&) {
-        for (Index i = lo; i < mid; ++i) body(i);
-      });
-      lo = mid;
-    }
-    for (Index i = lo; i < hi; ++i) body(i);
-    ctx.sync();
-  }
-}
-
-template <typename Index, typename Body>
-void parallel_for(serial_context& ctx, Index begin, Index end, const Body& body,
-                  std::uint64_t grain = 0) {
-  if (begin >= end) return;
-  const auto n = static_cast<std::uint64_t>(end - begin);
-  if (grain == 0) {
-    const std::uint64_t slack = n / 8;  // the runtime's default at P = 1
-    grain = slack < 2048 ? slack : 2048;
-    if (grain == 0) grain = 1;
-  }
-  if constexpr (!std::is_invocable_v<const Body&, serial_context&, Index>) {
-    if (n <= grain) {
-      // Mirrors the runtime's inline fast path: no frame, no rank consumed.
-      for (Index i = begin; i < end; ++i) body(i);
-      return;
-    }
-  }
-  ctx.call([&](serial_context& loop_frame) {
-    serial_for_impl(loop_frame, begin, end, body, grain);
-  });
-}
 
 }  // namespace cilkpp::rt
 

@@ -107,7 +107,7 @@ class small_vector {
     } else {
       capacity_ = N;
       heap_ = nullptr;
-      std::memcpy(inline_, other.inline_, size_ * sizeof(T));
+      copy_inline(other);
     }
   }
 
@@ -120,10 +120,16 @@ class small_vector {
     } else {
       capacity_ = N;
       heap_ = nullptr;
-      std::memcpy(inline_, other.inline_, size_ * sizeof(T));
+      copy_inline(other);
     }
     other.size_ = 0;
     other.capacity_ = N;
+  }
+
+  /// Copies the whole inline buffer: size_ ≤ N holds here, but a
+  /// fixed-size copy is what lets the compiler see the bound.
+  void copy_inline(const small_vector& other) {
+    std::memcpy(inline_, other.inline_, sizeof inline_);
   }
 
   void release() {

@@ -145,7 +145,9 @@ TEST(Csr, ValidateCatchesCorruption) {
   EXPECT_FALSE(validate(bad));
   bad = g;
   std::swap(bad.offsets[1], bad.offsets[2]);
-  if (bad.offsets[1] != bad.offsets[2]) EXPECT_FALSE(validate(bad));
+  if (bad.offsets[1] != bad.offsets[2]) {
+    EXPECT_FALSE(validate(bad));
+  }
   bad = g;
   if (bad.degree(0) >= 2 && bad.targets[0] != bad.targets[1]) {
     std::swap(bad.targets[0], bad.targets[1]);

@@ -13,6 +13,7 @@
 #include "pedigree/dprng.hpp"
 #include "pedigree/pedigree.hpp"
 #include "pedigree/replay.hpp"
+#include "runtime/parallel_for.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/serial.hpp"
 
@@ -246,6 +247,48 @@ TEST(CrossEngine, ScreenPedigreeMatchesRuntimePedigree) {
   std::sort(rt_leaves.begin(), rt_leaves.end(), order);
   std::sort(scr_leaves.begin(), scr_leaves.end(), order);
   EXPECT_EQ(rt_leaves, scr_leaves);
+}
+
+// A body(i) loop whose whole range fits one grain runs inline on the
+// caller's strand in every engine: no loop frame, no rank consumed. Race
+// reports carry the pedigree of the strand after such a loop, so an engine
+// that consumed a rank there would name a strand replay cannot find.
+template <typename Ctx>
+std::vector<std::uint64_t> strands_after_one_grain_loops(Ctx& ctx) {
+  std::vector<std::uint64_t> ids;
+  int sink = 0;
+  parallel_for(ctx, 0, 1, [&](int i) { sink += i; });  // default grain
+  ids.push_back(ctx.strand_id());
+  parallel_for(ctx, 0, 4, [&](int i) { sink += i; }, 8);
+  ids.push_back(ctx.strand_id());
+  return ids;
+}
+
+TEST(CrossEngine, LoopThatFitsOneGrainConsumesNoRank) {
+  rt::serial_context serial;
+  const std::vector<std::uint64_t> want = strands_after_one_grain_loops(serial);
+
+  std::vector<std::uint64_t> got;
+  rt::scheduler sched(1);
+  sched.run(
+      [&](rt::context& ctx) { got = strands_after_one_grain_loops(ctx); });
+  EXPECT_EQ(got, want) << "runtime";
+  {
+    screen::detector d;
+    screen::run_under_detector(d, [&](screen::screen_context& ctx) {
+      got = strands_after_one_grain_loops(ctx);
+    });
+    EXPECT_EQ(got, want) << "SP-bags engine";
+  }
+  {
+    screen::order_detector d;
+    screen::run_under_detector(d, [&](screen::order_context& ctx) {
+      got = strands_after_one_grain_loops(ctx);
+    });
+    EXPECT_EQ(got, want) << "SP-order engine";
+  }
+  ped::replay_context replay;
+  EXPECT_EQ(strands_after_one_grain_loops(replay), want) << "replay engine";
 }
 
 // --- Single-strand replay. ---

@@ -27,7 +27,9 @@ TEST(Rng, DeterministicFromSeed) {
   for (int i = 0; i < 100; ++i) {
     const auto va = a();
     EXPECT_EQ(va, b());
-    if (i == 0) EXPECT_NE(va, c());
+    if (i == 0) {
+      EXPECT_NE(va, c());
+    }
   }
 }
 
