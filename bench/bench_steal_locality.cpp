@@ -8,7 +8,7 @@
 //   * refill rate          fraction of slab blocks that crossed the depot
 //                          (magazine_refills x capacity / blocks served):
 //                          batching means this is a small fraction, i.e.
-//                          most allocations are a thread-local freelist pop
+//                          most allocations are a thread-local magazine pop
 //   * contention speedup   wide parallel_for (grain 1) throughput at
 //                          P = 2 over P = 1 — the leg the slab layer and
 //                          the burst lowering were built for
@@ -35,19 +35,28 @@ using cilkpp::rt::context;
 using cilkpp::rt::scheduler;
 using cilkpp::rt::worker_stats;
 
+/// Minimum wall time of the steal mix. One pass lasts a few ms; when the
+/// workers share fewer CPUs than there are workers, the thieves may not be
+/// scheduled at all within one pass.
+constexpr std::uint64_t kMixMinNs = 250'000'000;
+
 /// A steal-heavy mixed workload: recursive fib keeps deques deep, the wide
-/// loop keeps the join path hot. Returns the merged stats of the run.
+/// loop keeps the join path hot. Repeats the pass on one scheduler until
+/// kMixMinNs has passed and returns the stats merged over every pass.
 worker_stats run_steal_mix(unsigned workers) {
   scheduler sched(workers);
   std::atomic<std::uint64_t> sink{0};
-  sched.run([&](context& ctx) {
-    cilkpp::do_not_optimize(cilkpp::workloads::fib(ctx, 22, 4));
-    cilkpp::rt::parallel_for(ctx, std::uint64_t{0}, std::uint64_t{1} << 15,
-                             [&](std::uint64_t i) {
-                               sink.fetch_add(i, std::memory_order_relaxed);
-                             },
-                             /*grain=*/1);
-  });
+  const cilkpp::stopwatch sw;
+  do {
+    sched.run([&](context& ctx) {
+      cilkpp::do_not_optimize(cilkpp::workloads::fib(ctx, 22, 4));
+      cilkpp::rt::parallel_for(ctx, std::uint64_t{0}, std::uint64_t{1} << 15,
+                               [&](std::uint64_t i) {
+                                 sink.fetch_add(i, std::memory_order_relaxed);
+                               },
+                               /*grain=*/1);
+    });
+  } while (sw.elapsed_ns() < kMixMinNs);
   cilkpp::do_not_optimize(sink.load());
   return sched.stats();
 }
@@ -121,13 +130,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: no steals recorded in the P=4 mix run\n");
     ok = false;
   }
-#if CILKPP_SLAB_ENABLED
   if (blocks_served > 0 && refill_rate > 0.5) {
     std::fprintf(stderr, "FAIL: refill rate %.3f > 0.5 (batching dead?)\n",
                  refill_rate);
     ok = false;
   }
-#endif
   if (speedup < 0.2) {
     std::fprintf(stderr, "FAIL: P=2/P=1 contention speedup %.2f < 0.2\n",
                  speedup);
@@ -137,7 +144,6 @@ int main(int argc, char** argv) {
   cilkpp::json_writer w;
   w.begin_object();
   w.field("benchmark", "steal_locality");
-  w.field("slab_enabled", CILKPP_SLAB_ENABLED != 0);
   w.key("steal_mix");
   w.begin_object();
   w.field("workers", 4);

@@ -1,5 +1,5 @@
-// Chaos-hook overhead budget: the CILKPP_STRESS hooks must be cheap enough
-// to stay compiled in by default.
+// Chaos-hook overhead budget: the chaos hooks must be cheap enough to stay
+// compiled in.
 //
 // google-benchmark pairs on the real scheduler: fib with no policy
 // installed (each chaos point is one relaxed/acquire load + branch on a

@@ -4,11 +4,10 @@
 // Motivation (paper Sec. 3, the work-first principle): a spawn whose
 // closure outgrows its slot allocates a task frame, every reducer touch may
 // allocate a view, and the spawn path must stay within the <2%
-// serial-overhead budget. A system
-// malloc costs a lock or CAS in the common case; even the task_pool's
-// thread-local freelists fall back to ::operator new on every cold miss and
-// cap-overflow. The slab allocator removes the system allocator from the
-// steady state entirely:
+// serial-overhead budget. A system malloc costs a lock or CAS in the common
+// case; even thread-local freelists fall back to ::operator new on every
+// cold miss and cap-overflow. The slab allocator removes the system
+// allocator from the steady state entirely:
 //
 //   Level 1 — per-thread MAGAZINES. Each thread keeps, per size class, a
 //   `loaded` and a `backup` magazine: fixed arrays of block pointers popped
@@ -32,11 +31,8 @@
 // task frames cannot false-share by construction. The slab header occupies
 // the first line alone.
 //
-// Consumers (oversize task frames via task_pool, reducer views, trace
-// rings, stress pools) route here when CILKPP_SLAB is ON (the
-// default). The library itself is always built — `-DCILKPP_SLAB=OFF` only
-// reverts the consumers to their previous allocation strategy (task_pool's
-// own freelists, plain operator new), keeping a bisectable fallback.
+// Consumers: oversize task frames via task_pool, reducer views, trace
+// rings, stress pools.
 #pragma once
 
 #include <atomic>
@@ -47,9 +43,8 @@
 
 #include "support/assert.hpp"
 
-#ifndef CILKPP_SLAB_ENABLED
+// Retired build switch, always 1: perfbench reads it.
 #define CILKPP_SLAB_ENABLED 1
-#endif
 
 namespace cilkpp::alloc {
 

@@ -18,53 +18,36 @@ proc_id sp_detector<R>::add_child(proc_id parent, proc_id child,
                                   proc_id tree_child) {
   CILKPP_ASSERT(tree_child == child, "procedure numbering out of step");
   ++stats_.procedures;
-#if CILKPP_PEDIGREE_ENABLED
   peds_.on_child(parent, child);  // a spawn or a call consumes a parent rank
-#else
-  (void)parent;
-#endif
   return child;
 }
 
 template <typename R>
 std::uint64_t sp_detector<R>::rank_of(proc_id p) const {
-#if CILKPP_PEDIGREE_ENABLED
   return peds_.rank(p);
-#else
-  (void)p;
-  return 0;
-#endif
 }
 
 template <typename R>
 const ped::proc_pedigrees* sp_detector<R>::pedigrees_or_null() const {
-#if CILKPP_PEDIGREE_ENABLED
   return &peds_;
-#else
-  return nullptr;
-#endif
 }
 
 template <typename R>
 proc_id sp_detector<R>::enter_spawn(proc_id parent) {
-#if CILKPP_LINT_ENABLED
   // Fire before the child exists: any lock still held belongs to the
   // parent's (or an ancestor's) strand crossing this spawn boundary. The
   // pedigree update in add_child comes after, so lint sees the parent's
   // pre-spawn rank.
   if (lint_ != nullptr) lint_->on_boundary(lint::boundary::spawn, parent);
-#endif
   const proc_id child = rel_.enter_spawn(parent);
   return add_child(parent, child, tree_.add_spawn(parent));
 }
 
 template <typename R>
 void sp_detector<R>::exit_spawn(proc_id parent, proc_id child) {
-#if CILKPP_LINT_ENABLED
   // The spawned child's strand ends here: locks it acquired and still
   // holds are abandoned.
   if (lint_ != nullptr) lint_->on_procedure_exit(child);
-#endif
   rel_.exit_spawn(parent, child);
 }
 
@@ -83,15 +66,11 @@ void sp_detector<R>::exit_call(proc_id parent, proc_id child) {
 
 template <typename R>
 void sp_detector<R>::sync(proc_id f) {
-#if CILKPP_LINT_ENABLED
   if (lint_ != nullptr) lint_->on_boundary(lint::boundary::sync, f);
-#endif
   rel_.sync(f);
-#if CILKPP_PEDIGREE_ENABLED
   // Unconditional: the runtime's rank advances at every sync regardless of
   // pending children.
   peds_.on_sync(f);
-#endif
 }
 
 template <typename R>
@@ -106,12 +85,10 @@ void sp_detector<R>::report(race_kind rk, std::uintptr_t addr,
                       (rk == race_kind::view ? 4u : 0u) |
                       (static_cast<std::uint64_t>(first.kind) << 1) |
                       static_cast<std::uint64_t>(second_kind);
-#if CILKPP_PEDIGREE_ENABLED
   // Pedigree-keyed dedup: distinct endpoint strands at the same address and
   // kind pair are distinct races. Same-strand repeats still fold to one.
   key = ped::mix(ped::mix(key, peds_.strand_hash_at(first.proc, first.ped_rank)),
                  peds_.strand_hash(current));
-#endif
   if (!reported_.insert(key).second) return;  // already reported this shape
   race_record r;
   r.kind = rk;
@@ -120,10 +97,8 @@ void sp_detector<R>::report(race_kind rk, std::uintptr_t addr,
   r.second = second_kind;
   r.first_proc = first.proc;
   r.second_proc = current;
-#if CILKPP_PEDIGREE_ENABLED
   r.first_ped = peds_.strand_at(first.proc, first.ped_rank);
   r.second_ped = peds_.strand(current);
-#endif
   if (first.label != nullptr) r.first_label = first.label;
   if (second_label != nullptr) r.second_label = second_label;
   races_.push_back(std::move(r));
@@ -140,14 +115,12 @@ void sp_detector<R>::on_access(proc_id current, const void* addr,
   };
   const auto base = reinterpret_cast<std::uintptr_t>(addr);
   const std::uint64_t cur_rank = rank_of(current);
-#if CILKPP_MEMLENS_ENABLED
   // Cache-line sharing analysis rides the same stream and the same SP
   // query; it classifies whole accesses (not bytes), so it runs once per
   // event, before the byte loop.
   if (lens_ != nullptr) {
     lens_->on_access(cur, current, base, size, kind, label, parallel);
   }
-#endif
   for (std::size_t k = 0; k < size; ++k) {
     shadow_.cell(base + k).hist.access(
         cur, current, cur_rank, kind, held_, label, parallel,
@@ -168,13 +141,11 @@ void sp_detector<R>::on_access(proc_id current, const void* addr,
         report(race_kind::view, hs.lo, e, current, kind, label);
       }
     }
-#if CILKPP_LINT_ENABLED
     // The serially-ordered counterpart is lint's view-escape check: a view
     // reference cached across a strand boundary.
     if (lint_ != nullptr) {
       lint_->on_raw_view_access(hs.id, current, parallel, label);
     }
-#endif
   }
 }
 
@@ -196,7 +167,6 @@ template <typename R>
 void sp_detector<R>::lock_acquired(proc_id current, lock_id id) {
   CILKPP_ASSERT(!lockset_contains(held_, id),
                 "lock acquired twice (not recursive)");
-#if CILKPP_LINT_ENABLED
   if (lint_ != nullptr) {
     const strand cur = rel_.strand_of(current);
     lint_->on_acquire(
@@ -206,9 +176,6 @@ void sp_detector<R>::lock_acquired(proc_id current, lock_id id) {
           return R::pair_parallel(earlier, later);
         });
   }
-#else
-  (void)current;
-#endif
   held_.push_back(id);
 }
 
@@ -217,11 +184,7 @@ void sp_detector<R>::lock_released(proc_id current, lock_id id) {
   for (std::size_t i = 0; i < held_.size(); ++i) {
     if (held_[i] == id) {
       held_.swap_remove(i);
-#if CILKPP_LINT_ENABLED
       if (lint_ != nullptr) lint_->on_release(current, id);
-#else
-      (void)current;
-#endif
       return;
     }
   }
@@ -229,9 +192,7 @@ void sp_detector<R>::lock_released(proc_id current, lock_id id) {
   // never-locked mutex). The lockset is already consistent — there is
   // nothing to remove — so record the fact and keep going.
   ++stats_.unmatched_releases;
-#if CILKPP_LINT_ENABLED
   if (lint_ != nullptr) lint_->on_unmatched_release(current, id);
-#endif
 }
 
 template <typename R>
@@ -248,13 +209,11 @@ void sp_detector<R>::register_hyperobject(const rt::hyperobject_base& h,
                                           const void* base, std::size_t size,
                                           const char* label) {
   const auto lo = reinterpret_cast<std::uintptr_t>(base);
-#if CILKPP_MEMLENS_ENABLED
   // The hyperobject's value bytes are a runtime-owned region: co-residency
   // with a neighboring structure is a padding lint (memlens/analyzer.hpp).
   if (lens_ != nullptr) {
     lens_->on_region(base, size, label != nullptr ? label : "reducer view");
   }
-#endif
   if (hyper_state* hs = find_hyper(h)) {
     hs->lo = lo;
     hs->hi = lo + size;
@@ -297,7 +256,6 @@ void sp_detector<R>::on_view_access(proc_id current,
                   parallel, [](const entry&) {}, stats_);
 }
 
-#if CILKPP_LINT_ENABLED
 template <typename R>
 void sp_detector<R>::on_view_fetch(proc_id current,
                                    const rt::hyperobject_base& h,
@@ -308,7 +266,6 @@ void sp_detector<R>::on_view_fetch(proc_id current,
   lint_->on_view_fetch(&h, rel_.strand_of(current), current,
                        reinterpret_cast<std::uintptr_t>(base), label);
 }
-#endif
 
 template <typename R>
 const std::vector<race_record>& sp_detector<R>::races() const {

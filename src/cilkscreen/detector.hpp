@@ -96,7 +96,6 @@ class sp_detector {
                       const void* base, std::size_t size, access_kind kind,
                       const char* label = nullptr);
 
-#if CILKPP_LINT_ENABLED
   // --- Lock-discipline analysis (cilk::lint). ---
   /// Strands are the relation's; so is the pair-parallel predicate —
   /// conservative under SP-bags, exact under SP-order (lint/analyzer.hpp).
@@ -115,9 +114,7 @@ class sp_detector {
   void on_view_fetch(proc_id current, const rt::hyperobject_base& h,
                      const void* base, std::size_t size,
                      const char* label = nullptr);
-#endif
 
-#if CILKPP_MEMLENS_ENABLED
   // --- Cache-line sharing analysis (cilk::memlens). ---
   /// Strands are the relation's and the remembered-vs-current predicate is
   /// its (exact) race query; accessor identity inside the analyzer is
@@ -139,7 +136,6 @@ class sp_detector {
                    const char* label = nullptr) {
     if (lens_ != nullptr) lens_->on_region(base, size, label);
   }
-#endif
 
   // --- Results. ---
   /// Reports in deterministic (address, first_proc, second_proc) order.
@@ -156,7 +152,6 @@ class sp_detector {
   {
     return rel_.relabel_count();
   }
-#if CILKPP_PEDIGREE_ENABLED
   /// Pedigree bookkeeping (one entry per procedure, same rank rules as the
   /// runtime — reports carry these so they compare across engines/runs).
   const ped::proc_pedigrees& pedigrees() const { return peds_; }
@@ -164,7 +159,6 @@ class sp_detector {
   ped::pedigree strand_pedigree(proc_id p) const { return peds_.strand(p); }
   std::uint64_t strand_id(proc_id p) const { return peds_.strand_hash(p); }
   std::uint64_t dprng_draw(proc_id p) { return peds_.draw(p); }
-#endif
   /// Race reports are deduplicated per (address, kind pair); cap the total
   /// to keep pathological programs manageable.
   static constexpr std::size_t max_reports = 1000;
@@ -182,7 +176,7 @@ class sp_detector {
   };
 
   proc_id add_child(proc_id parent, proc_id child, proc_id tree_child);
-  /// p's current pedigree rank (0 when pedigrees are compiled out).
+  /// p's current pedigree rank.
   std::uint64_t rank_of(proc_id p) const;
   const ped::proc_pedigrees* pedigrees_or_null() const;
   void on_access(proc_id current, const void* addr, std::size_t size,
@@ -193,15 +187,9 @@ class sp_detector {
   hyper_state* find_hyper(const rt::hyperobject_base& h);
 
   Relation rel_;
-#if CILKPP_LINT_ENABLED
   lint_analyzer* lint_ = nullptr;
-#endif
-#if CILKPP_MEMLENS_ENABLED
   memlens_analyzer* lens_ = nullptr;
-#endif
-#if CILKPP_PEDIGREE_ENABLED
   ped::proc_pedigrees peds_;
-#endif
   proc_tree tree_;
   shadow_table<shadow_cell> shadow_;
   std::vector<hyper_state> hypers_;

@@ -37,11 +37,7 @@ context::context(scheduler* sched, worker* home, context* parent,
       ped_hash_(ped_hash),
       stolen_(stolen),
       arena_(home->slots) {
-#if CILKPP_PEDIGREE_ENABLED
   birth_rank_ = birth_rank;
-#else
-  (void)birth_rank;
-#endif
   CILKPP_ASSERT(home_ != nullptr, "context created off a worker");
   // Single writer (this worker); relaxed load-max-store is race-free.
   if (depth_ > home_->max_frame_depth.load(std::memory_order_relaxed)) {
@@ -311,7 +307,6 @@ view_base& context::hyper_view(hyperobject_base& h) {
   return *v;
 }
 
-#if CILKPP_PEDIGREE_ENABLED
 std::uint64_t context::strand_id() const { return ped_mix(ped_hash_, rank_); }
 
 std::uint64_t context::dprng_draw() {
@@ -335,7 +330,6 @@ ped::pedigree context::pedigree() const {
   }
   return p;
 }
-#endif
 
 void worker_stats::merge(const worker_stats& o) {
   spawns += o.spawns;

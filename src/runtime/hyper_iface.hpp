@@ -21,7 +21,6 @@ namespace cilkpp::rt {
 struct view_base {
   virtual ~view_base() = default;
 
-#if CILKPP_SLAB_ENABLED
   // Every concrete view allocates through the slab magazines: views are
   // created on the steal path (identity_view) and destroyed on the fold
   // path, often by a different worker — exactly the migrating small-block
@@ -34,7 +33,6 @@ struct view_base {
   static void operator delete(void* p, std::size_t size) noexcept {
     alloc::slab_deallocate(p, size);
   }
-#endif
 };
 
 /// One hyperobject (e.g. one declared reducer). Identity of the object is

@@ -208,14 +208,12 @@ void scheduler::worker_main(unsigned id) {
 }
 
 bool scheduler::help_one(worker& w) {
-#if CILKPP_STRESS_ENABLED
   // Force-steal-everything: under chaos, a worker may be told to serve
   // another deque before its own, maximizing task migration. A failed
   // forced steal falls through to the normal path, so progress is kept.
   if (chaos_policy* c = w.chaos.load(std::memory_order_acquire)) {
     if (c->prefer_steal(w.id) && steal_and_execute(w)) return true;
   }
-#endif
   chaos_perturb(&w, chaos_point::pop_bottom);
   // A single-worker scheduler has no pool threads, hence no thief to race:
   // the exclusive pop skips the Chase–Lev fence and last-element CAS.
@@ -242,14 +240,12 @@ bool scheduler::steal_and_execute(worker& w) {
   for (std::size_t i = 0; i < rounds; ++i) {
     chaos_perturb(&w, chaos_point::steal_attempt);
     std::size_t victim = n;
-#if CILKPP_STRESS_ENABLED
     // Chaos may skew victim selection (always-victim-0, round-robin, …);
     // out-of-range or self answers keep the default choice.
     if (chaos_policy* c = w.chaos.load(std::memory_order_acquire)) {
       const std::size_t v = c->pick_victim(w.id, n);
       if (v < n && v != w.id) victim = v;
     }
-#endif
     if (victim == n) {
       if (i < w.probe_order.size()) {
         victim = w.probe_order[i];  // near-first sweep
@@ -375,20 +371,15 @@ void scheduler::remove_trace() {
 }
 
 void scheduler::install_chaos(chaos_policy* policy) {
-#if CILKPP_STRESS_ENABLED
   CILKPP_ASSERT(!run_active_.load(std::memory_order_acquire),
                 "install_chaos while a run is in flight");
   CILKPP_ASSERT(policy != nullptr, "install_chaos(nullptr); use remove_chaos");
   for (auto& w : workers_) {
     w->chaos.store(policy, std::memory_order_release);
   }
-#else
-  (void)policy;
-#endif
 }
 
 void scheduler::remove_chaos() {
-#if CILKPP_STRESS_ENABLED
   CILKPP_ASSERT(!run_active_.load(std::memory_order_acquire),
                 "remove_chaos while a run is in flight");
   // Unlike remove_trace, clearing the pointers is NOT enough to free the
@@ -400,7 +391,6 @@ void scheduler::remove_chaos() {
   for (auto& w : workers_) {
     w->chaos.store(nullptr, std::memory_order_release);
   }
-#endif
 }
 
 }  // namespace cilkpp::rt

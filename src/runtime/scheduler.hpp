@@ -57,9 +57,8 @@
 #include "trace/event.hpp"
 #include "trace/ring.hpp"
 
-#ifndef CILKPP_STRESS_ENABLED
+// Retired build switch, always 1: perfbench reads it.
 #define CILKPP_STRESS_ENABLED 1
-#endif
 
 namespace cilkpp::rt {
 
@@ -79,9 +78,8 @@ enum class chaos_point : std::uint8_t {
   task_run,       ///< a worker is about to execute a dequeued task
 };
 
-/// Schedule-perturbation hook, compiled in under CILKPP_STRESS_ENABLED
-/// (CMake option CILKPP_STRESS, default ON; every call site disappears when
-/// OFF). Installed via scheduler::install_chaos; src/stress/chaos.hpp
+/// Schedule-perturbation hook. Installed via scheduler::install_chaos;
+/// src/stress/chaos.hpp
 /// provides the seeded implementation. Implementations are called
 /// concurrently from every worker and must not throw; `perturb` may yield
 /// or sleep but must always return (bounded delays only — an unbounded
@@ -120,19 +118,13 @@ struct task {
   /// parent.
   frame_slot* parent_slot;
   std::uint64_t child_ped_hash;  ///< pedigree prefix captured at spawn time
-#if CILKPP_PEDIGREE_ENABLED
   /// The parent's rank at the spawn: the child's last rank-list element,
   /// needed only to materialize full pedigrees (the hash above carries the
   /// hot-path identity either way).
   std::uint64_t child_birth_rank = 0;
-#endif
 
   std::uint64_t birth_rank() const {
-#if CILKPP_PEDIGREE_ENABLED
     return child_birth_rank;
-#else
-    return 0;
-#endif
   }
 };
 
@@ -194,8 +186,7 @@ struct worker_stats {
   std::uint64_t backoff_naps = 0;
   // --- Allocator activity attributed to this worker's thread: deltas of
   // the slab allocator's per-thread counters since the last reset_stats()
-  // (src/alloc; all zero when the thread never allocated, and effectively
-  // zero when -DCILKPP_SLAB=OFF routes consumers elsewhere).
+  // (src/alloc; all zero when the thread never allocated).
   std::uint64_t magazine_refills = 0;  ///< full magazines pulled from depot
   std::uint64_t magazine_returns = 0;  ///< full magazines pushed to depot
   std::uint64_t slabs_created = 0;     ///< 64 KiB slab carves on this thread
@@ -333,13 +324,11 @@ struct worker {
   std::uint64_t base_returns = 0;
   std::uint64_t base_slabs = 0;
   std::uint64_t base_oversize = 0;
-#if CILKPP_STRESS_ENABLED
   /// Installed by scheduler::install_chaos; null when no chaos policy is
   /// active. Read on every scheduling boundary (one load+branch when idle).
   /// Own line: the install store (another thread) must not invalidate any
   /// line the owner writes on the hot path.
   alignas(cache_line_size) std::atomic<chaos_policy*> chaos{nullptr};
-#endif
 #if CILKPP_TRACE_ENABLED
   /// Installed by trace::session via scheduler::install_trace; null when no
   /// trace is being captured. Only this worker pushes into the ring.
@@ -372,16 +361,11 @@ inline void trace_record(worker* w, trace::event_kind kind, std::uint64_t frame,
 }
 
 /// Fires one chaos point on w, if a chaos policy is installed. One
-/// load+branch when no policy is active; compiles to nothing when stress
-/// hooks are compiled out (CILKPP_STRESS_ENABLED=0).
+/// load+branch when no policy is active.
 inline void chaos_perturb(worker* w, chaos_point p) {
-#if CILKPP_STRESS_ENABLED
   if (chaos_policy* c = w->chaos.load(std::memory_order_acquire)) {
     c->perturb(w->id, p);
   }
-#else
-  (void)w; (void)p;
-#endif
 }
 
 /// A Cilk function instance (a "full frame"): owns the children it spawned
@@ -447,7 +431,6 @@ class context {
   /// frames nested on it, this one's on top. Introspection for tests.
   std::size_t slot_stack_top() const { return home_->slots.top(); }
 
-#if CILKPP_PEDIGREE_ENABLED
   /// Pedigree-based strand identifier: a 64-bit value that identifies the
   /// currently executing strand *independent of scheduling* — the same
   /// strand gets the same id on every run and any worker count (the
@@ -465,7 +448,6 @@ class context {
   /// chain's links and birth ranks are immutable after construction, and a
   /// parent outlives its children, so the walk is safe from any strand).
   ped::pedigree pedigree() const;
-#endif
 
  private:
   friend class scheduler;
@@ -481,8 +463,8 @@ class context {
           bool stolen = false);
 
   /// Deterministic pedigree chaining: the child born at rank r of a frame
-  /// with prefix h gets prefix ped_mix(h, r). The hash chain stays even when
-  /// CILKPP_PEDIGREE is OFF — trace uses it as the frame identity.
+  /// with prefix h gets prefix ped_mix(h, r). Trace also uses the hash as
+  /// the frame identity.
   static std::uint64_t ped_mix(std::uint64_t h, std::uint64_t r) {
     return ped::mix(h, r);
   }
@@ -559,9 +541,7 @@ class context {
   /// must open a fresh segment.
   void bump_rank() {
     ++rank_;
-#if CILKPP_PEDIGREE_ENABLED
     draws_ = 0;
-#endif
     cached_hyper_ = nullptr;
   }
 
@@ -576,10 +556,8 @@ class context {
   std::uint64_t depth_;
   std::uint64_t ped_hash_;  // hash of this frame's pedigree prefix
   std::uint64_t rank_ = 0;  // spawn/sync rank within this frame
-#if CILKPP_PEDIGREE_ENABLED
   std::uint64_t birth_rank_ = 0;  // parent's rank when this frame was born
   std::uint64_t draws_ = 0;       // dprng draws on the current strand
-#endif
   bool finished_ = false;
   bool stolen_ = false;  // spawned frames: run by a thief, not by the parent's worker
   // Strand-local view cache: repeat accesses to the same reducer within a
@@ -694,8 +672,7 @@ class scheduler {
   /// flight. The policy must stay valid until the scheduler is destroyed
   /// or a later run() completes: remove_chaos only stops *new* decisions —
   /// a worker that loaded the pointer during the previous run's tail may
-  /// still be completing one last perturbation call. No-ops when stress
-  /// hooks are compiled out (CILKPP_STRESS=OFF).
+  /// still be completing one last perturbation call.
   void install_chaos(chaos_policy* policy);
   void remove_chaos();
 
@@ -845,9 +822,7 @@ void context::spawn_record(Args&&... args) {
   // counter bump, and a Chase–Lev bottom push.
   frame_slot* slot = arena_.append(/*is_child=*/true);
   T* t = emplace_record<T>(slot, this, child_ped, std::forward<Args>(args)...);
-#if CILKPP_PEDIGREE_ENABLED
   t->child_birth_rank = rank_ - 1;  // rank before the bump above
-#endif
   ++outstanding_;
   bump_counter(home_->spawns);
   sched_->push(*home_, t);

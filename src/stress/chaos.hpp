@@ -5,7 +5,7 @@
 // (Sec. 5) — are properties of *every* schedule, but a threaded runtime on
 // CI hardware only ever sees the handful of schedules its machine happens
 // to produce. seeded_chaos plugs into the rt::chaos_policy hook
-// (scheduler.hpp, compiled in under CILKPP_STRESS) and widens that set:
+// (scheduler.hpp) and widens that set:
 // it injects yields and microsecond sleeps at spawn/steal/sync boundaries,
 // skews victim selection, forces workers to steal when they have local
 // work, and starves chosen workers with extra delays — every decision

@@ -123,7 +123,6 @@ void stress_harness::run_case(const stress_case& c, fuzz_report& rep) {
   auto fail = [&](const char* oracle, std::string detail) {
     rep.failures.push_back(stress_failure{c, oracle, std::move(detail), {}});
   };
-#if CILKPP_PEDIGREE_ENABLED
   // Localize a failure to the strand that wrote output `out` (slot index,
   // or num_slots + cell index): the last-pushed failure gains a REPLAY
   // pedigree, making it reproducible without any schedule.
@@ -134,7 +133,6 @@ void stress_harness::run_case(const stress_case& c, fuzz_report& rep) {
                                  : pedigree_of_cell(p, out - p.num_slots);
     rep.failures.back().pedigree = ped::to_string(pg);
   };
-#endif
 
   // --- Reference: serial elision. ---
   run_state serial_st(p);
@@ -246,24 +244,18 @@ void stress_harness::run_case(const stress_case& c, fuzz_report& rep) {
   // analyzer rides along on the same run: generated programs are also
   // well-disciplined by construction (disjoint lock pools — see
   // program.hpp), so any lint record is a bug too.
-#if CILKPP_PEDIGREE_ENABLED
   std::vector<std::uint64_t> screen_draws;
-#endif
   {
     run_state scr_st(p);
     screen::detector d;
-#if CILKPP_LINT_ENABLED
     screen::detector::lint_analyzer la;
     d.attach_lint(&la);
-#endif
-#if CILKPP_MEMLENS_ENABLED
     // Memlens rides along too: the interpreter's pools are padded to one
     // 64-byte line per element (see interp.hpp), so a generated program is
     // false-sharing-clean BY CONSTRUCTION — any memlens record is a bug in
     // the analyzer or in the pool layout, either way ours.
     screen::detector::memlens_analyzer ml;
     d.attach_memlens(&ml);
-#endif
     screen::run_under_detector(d, [&](screen::screen_context& ctx) {
       interp(ctx, p, p.root, scr_st);
     });
@@ -271,7 +263,6 @@ void stress_harness::run_case(const stress_case& c, fuzz_report& rep) {
     if (!(scr_r == serial_r)) {
       fail("screen-differs", diff_results(serial_r, scr_r));
     }
-#if CILKPP_PEDIGREE_ENABLED
     // DPRNG cross-engine determinism: a draw is a pure function of strand
     // identity, so elision and the detector's elision-order run must draw
     // the identical stream. (The comparison skips programs with throws:
@@ -290,13 +281,11 @@ void stress_harness::run_case(const stress_case& c, fuzz_report& rep) {
       attach_pedigree(bad);
     }
     screen_draws = std::move(scr_st.draws);
-#endif
     if (d.found_races()) {
       fail("screen-false-race",
            fmt("%zu report(s) on a race-free program:\n%s", d.races().size(),
                screen::render_races(d.races(), d.procedures()).c_str()));
     }
-#if CILKPP_LINT_ENABLED
     la.finish();
     if (!la.clean()) {
       fail("screen-lint",
@@ -310,8 +299,6 @@ void stress_harness::run_case(const stress_case& c, fuzz_report& rep) {
                static_cast<unsigned long long>(
                    d.stats().unmatched_releases)));
     }
-#endif
-#if CILKPP_MEMLENS_ENABLED
     ml.finish();
     if (!ml.clean()) {
       fail("screen-memlens",
@@ -319,19 +306,12 @@ void stress_harness::run_case(const stress_case& c, fuzz_report& rep) {
                ml.records().size(),
                memlens::render_lenses(ml.records(), d.procedures()).c_str()));
     }
-#endif
     // The zero-race, zero-lint and zero-lens verdicts above hold only if
     // the analyses saw every access: a spill drops history, so a clean
     // report after one proves nothing about the dropped part.
     const std::uint64_t history_spills = d.stats().history_spills;
-    std::uint64_t edge_spills = 0;
-    std::uint64_t accessor_spills = 0;
-#if CILKPP_LINT_ENABLED
-    edge_spills = la.stats().edge_spills;
-#endif
-#if CILKPP_MEMLENS_ENABLED
-    accessor_spills = ml.stats().accessor_spills;
-#endif
+    const std::uint64_t edge_spills = la.stats().edge_spills;
+    const std::uint64_t accessor_spills = ml.stats().accessor_spills;
     if (history_spills != 0 || edge_spills != 0 || accessor_spills != 0) {
       fail("screen-incomplete",
            fmt("analysis spilled (history_spills=%llu edge_spills=%llu "
@@ -377,7 +357,6 @@ void stress_harness::run_case(const stress_case& c, fuzz_report& rep) {
   rep.fingerprint = hash_combine(rep.fingerprint, rt_r.checksum);
   if (!(rt_r == serial_r)) {
     fail("runtime-differs", diff_results(serial_r, rt_r));
-#if CILKPP_PEDIGREE_ENABLED
     for (std::size_t i = 0; i < serial_st.slots.size(); ++i) {
       if (*rt_st.slots[i] != *serial_st.slots[i]) {
         attach_pedigree(i);
@@ -392,9 +371,7 @@ void stress_harness::run_case(const stress_case& c, fuzz_report& rep) {
         }
       }
     }
-#endif
   }
-#if CILKPP_PEDIGREE_ENABLED
   // Schedule independence of strand identity: steals never rename a strand,
   // so the chaos-scheduled run draws the exact stream the detector's serial
   // run drew — for every chaos seed, bit for bit.
@@ -410,7 +387,6 @@ void stress_harness::run_case(const stress_case& c, fuzz_report& rep) {
              static_cast<unsigned long long>(c.chaos_seed)));
     attach_pedigree(bad);
   }
-#endif
 
   // --- Scheduler invariants, once quiescent. ---
   if (!wait_task_pool_balanced()) {

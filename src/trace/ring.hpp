@@ -25,14 +25,10 @@
 namespace cilkpp::trace {
 
 namespace ring_detail {
-#if CILKPP_SLAB_ENABLED
 /// Ring buffers come from the slab's counted aligned path, so per-worker
 /// rings allocated at scheduler construction show up in the allocator's
 /// system_allocs gauge instead of as anonymous operator-new traffic.
 using event_buffer = std::vector<event, alloc::slab_std_allocator<event>>;
-#else
-using event_buffer = std::vector<event>;
-#endif
 }  // namespace ring_detail
 
 class event_ring {

@@ -225,17 +225,24 @@ table utilization_table(const timeline& t) {
 }
 
 table steal_matrix_table(const timeline& t) {
+  // Appends rather than "w" + std::string: GCC 12's -Wrestrict misfires on
+  // the latter at -O3.
+  const auto worker_label = [](unsigned w) {
+    std::string s = "w";
+    s += std::to_string(w);
+    return s;
+  };
   std::vector<std::string> headers;
   headers.push_back("thief\\victim");
   for (unsigned v = 0; v < t.workers; ++v) {
-    headers.push_back("w" + std::to_string(v));
+    headers.push_back(worker_label(v));
   }
   headers.push_back("total");
   table out(std::move(headers));
   out.set_title("steals by victim");
   for (unsigned w = 0; w < t.workers; ++w) {
     std::vector<std::string> row;
-    row.push_back("w" + std::to_string(w));
+    row.push_back(worker_label(w));
     std::uint64_t total = 0;
     for (unsigned v = 0; v < t.workers; ++v) {
       total += t.steals_by_victim[w][v];

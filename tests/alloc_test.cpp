@@ -14,16 +14,12 @@
 
 #include "alloc/slab.hpp"
 #include "cilkscreen/screen_context.hpp"
+#include "memlens/analyzer.hpp"
+#include "memlens/report.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/task_pool.hpp"
-#if CILKPP_STRESS_ENABLED
 #include "stress/chaos.hpp"
-#endif
-#if CILKPP_MEMLENS_ENABLED
-#include "memlens/analyzer.hpp"
-#include "memlens/report.hpp"
-#endif
 
 namespace cilkpp {
 namespace {
@@ -171,7 +167,6 @@ TEST(SlabMigration, CrossThreadFreeBalances) {
 
 // --- Leak balance under chaos ----------------------------------------------
 
-#if CILKPP_STRESS_ENABLED
 /// Every task frame, slot-arena chunk and reducer view allocated by a
 /// chaos-perturbed parallel run is freed by the time the scheduler is torn
 /// down, for every seed — the slab-level leak oracle of the stress suite.
@@ -199,11 +194,8 @@ TEST(SlabChaos, EightSeedSweepStaysBalanced) {
     EXPECT_TRUE(alloc::slab_totals().balanced()) << "chaos seed " << seed;
   }
 }
-#endif  // CILKPP_STRESS_ENABLED
 
 // --- Memlens layout certificate --------------------------------------------
-
-#if CILKPP_MEMLENS_ENABLED
 
 template <typename D>
 class SlabMemlens : public ::testing::Test {
@@ -253,8 +245,6 @@ TYPED_TEST(SlabMemlens, SlabServedBlocksAreFalseSharingFree) {
       << memlens::render_lenses(ml.records(), d.procedures());
   for (auto [p, sz] : blocks) alloc::slab_deallocate(p, sz);
 }
-
-#endif  // CILKPP_MEMLENS_ENABLED
 
 // --- task_pool stat plumbing (satellite surface) ---------------------------
 

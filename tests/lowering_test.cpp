@@ -80,9 +80,7 @@ shape under_detector(const pfor_case& c) {
   shape s;
   screen::run_under_detector(d, [&](Ctx& ctx) {
     run_loop(ctx, c);
-#if CILKPP_PEDIGREE_ENABLED
     s.strand_after = ctx.strand_id();
-#endif
   });
   EXPECT_FALSE(d.found_races());
   const screen::proc_tree& tree = d.procedures();
@@ -101,9 +99,7 @@ TEST_P(LoweringShape, EveryEngineSeesTheSameLoop) {
   rt::scheduler sched(1);
   sched.run([&](rt::context& ctx) {
     run_loop(ctx, c);
-#if CILKPP_PEDIGREE_ENABLED
     runtime.strand_after = ctx.strand_id();
-#endif
   });
   runtime.spawns = sched.stats().spawns;
 
@@ -126,7 +122,6 @@ TEST_P(LoweringShape, EveryEngineSeesTheSameLoop) {
   EXPECT_EQ(bags.spawns, runtime.spawns) << "SP-bags";
   EXPECT_EQ(order.spawns, runtime.spawns) << "SP-order";
 
-#if CILKPP_PEDIGREE_ENABLED
   rt::serial_context serial;
   run_loop(serial, c);
   EXPECT_EQ(serial.strand_id(), runtime.strand_after) << "serial elision";
@@ -135,15 +130,17 @@ TEST_P(LoweringShape, EveryEngineSeesTheSameLoop) {
   EXPECT_EQ(replay.strand_id(), runtime.strand_after) << "replay";
   EXPECT_EQ(bags.strand_after, runtime.strand_after) << "SP-bags";
   EXPECT_EQ(order.strand_after, runtime.strand_after) << "SP-order";
-#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, LoweringShape, ::testing::ValuesIn(grid()),
     [](const ::testing::TestParamInfo<pfor_case>& info) {
-      return "n" + std::to_string(info.param.n) + "_g" +
-             std::to_string(info.param.grain) +
-             (info.param.leaf_ctx ? "_ctx" : "_i");
+      std::string name = "n";
+      name += std::to_string(info.param.n);
+      name += "_g";
+      name += std::to_string(info.param.grain);
+      name += info.param.leaf_ctx ? "_ctx" : "_i";
+      return name;
     });
 
 }  // namespace

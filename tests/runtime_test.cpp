@@ -541,8 +541,6 @@ TEST(EdgeCases, ManyWorkersOversubscribedSmoke) {
 }
 
 // --- Pedigrees and deterministic parallel RNG. ---
-// (The rank-list machinery compiles out with -DCILKPP_PEDIGREE=OFF.)
-#if CILKPP_PEDIGREE_ENABLED
 
 // Collect (strand_id, first dprng draw) along a fixed spawn tree.
 void collect_ids(context& ctx, int depth,
@@ -628,8 +626,6 @@ TEST(Pedigree, DprngStreamIsDeterministic) {
   };
   EXPECT_EQ(draws(1), draws(4));
 }
-
-#endif  // CILKPP_PEDIGREE_ENABLED
 
 // --- Task pool. ---
 
@@ -975,10 +971,8 @@ TEST(SpawnProtocol, GrandchildrenReadClosureCapturesAfterBodyReturns) {
   EXPECT_EQ(dead_reads.load(), 0);
   // Σ over k < 8 of values[k % 4] = 2·(1+2+3+4) = 20 per child.
   EXPECT_EQ(sum.load(), 10u * children * 20u);
-#if CILKPP_STRESS_ENABLED
   EXPECT_GT(chaos.stats().forced_steals, 0u);
   EXPECT_GT(sched.stats().steals, 0u);
-#endif
 }
 
 TEST(SpawnProtocol, LocalAndStolenChildrenBothThrowEarliestWins) {

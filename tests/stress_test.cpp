@@ -168,8 +168,6 @@ TEST(Interp, RecorderAndScreenMatchElision) {
   }
 }
 
-#if CILKPP_PEDIGREE_ENABLED
-
 // --- Schedule independence: strand identity is a pure function of program
 // structure, so every pedigree-keyed output — the DPRNG stream, the run
 // checksum — must be bit-identical whichever schedule executed it. ---
@@ -261,10 +259,6 @@ TEST(Oracle, FailureReportCarriesReplayPedigree) {
   EXPECT_EQ(f.describe().find("REPLAY"), std::string::npos);
 }
 
-#endif  // CILKPP_PEDIGREE_ENABLED
-
-#if CILKPP_LINT_ENABLED
-
 // --- Planted ill-disciplined programs: the lint differential oracle's
 // positive controls. Screen engines only (program.planted — a real ABBA
 // can genuinely deadlock the threaded runtime). ---
@@ -307,8 +301,6 @@ TEST(PlantedPrograms, LintVerdictsUnderSpBags) {
 TEST(PlantedPrograms, LintVerdictsUnderSpOrder) {
   check_planted_programs<screen::order_detector>();
 }
-
-#endif  // CILKPP_LINT_ENABLED
 
 // --- Chaos policy. ---
 

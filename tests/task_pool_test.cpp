@@ -1,7 +1,7 @@
-// Task-pool statistics and the leak-balance oracle (the allocator behind
-// spawn records too big for their slot): per-class alloc/free/reuse
-// accounting, the oversize heap fallback, and global balance once
-// schedulers are quiescent.
+// Task-pool statistics and the leak-balance oracle (the counting facade
+// over the slab magazines that serves spawn records too big for their
+// slot): per-class alloc/free/reuse accounting, the oversize row, and
+// global balance once schedulers are quiescent.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -73,7 +73,7 @@ TEST(TaskPoolSizeClass, BranchFreeMapMatchesClassBoundaries) {
   EXPECT_EQ(size_class(256), 2u);
   EXPECT_EQ(size_class(257), 3u);
   EXPECT_EQ(size_class(512), 3u);
-  EXPECT_GE(size_class(513), pool_detail::num_classes);  // heap fallback
+  EXPECT_GE(size_class(513), pool_detail::num_classes);  // oversize row
   EXPECT_GE(size_class(4096), pool_detail::num_classes);
   // Exhaustive against the reference definition over the pooled range.
   for (std::size_t size = 0; size <= 600; ++size) {
@@ -89,8 +89,8 @@ TEST(TaskPoolSizeClass, BranchFreeMapMatchesClassBoundaries) {
 }
 
 TEST(TaskPoolFreelist, IntrusiveLifoReusesBlocksInStackOrder) {
-  // The freed block itself stores the next pointer, so the list must hand
-  // blocks back newest-first with no side storage.
+  // Blocks come back through the calling thread's slab magazine, a LIFO:
+  // newest-first.
   void* a = task_allocate(64);
   void* b = task_allocate(64);
   void* c = task_allocate(64);
@@ -123,8 +123,8 @@ TEST(TaskPoolStats, CountsAllocsAndFreesPerClass) {
 }
 
 TEST(TaskPoolStats, ReuseCountedWhenServedFromFreeList) {
-  // Warm the 128-byte list, then allocate again: the second allocation must
-  // be served from the list and counted as a reuse.
+  // Warm the 128-byte class, then allocate again: the second allocation
+  // must be served from the magazine and counted as a reuse.
   void* warm = task_allocate(100);
   task_deallocate(warm, 100);
   const task_pool_stats before = snap();
@@ -142,7 +142,7 @@ TEST(TaskPoolStats, OversizeRequestsCountedOnFallbackRow) {
   task_deallocate(p, 4096);
   const task_pool_stats after = snap();
   const auto& row = after.classes[pool_detail::num_classes];
-  EXPECT_EQ(row.block_size, 0u);  // heap fallback, no fixed class size
+  EXPECT_EQ(row.block_size, 0u);  // oversize row, no fixed class size
   EXPECT_EQ(row.allocs, before.classes[pool_detail::num_classes].allocs + 1);
   EXPECT_EQ(row.frees, before.classes[pool_detail::num_classes].frees + 1);
   EXPECT_EQ(mid.live(), before.live() + 1);
