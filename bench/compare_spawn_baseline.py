@@ -3,10 +3,11 @@
 
 Compares a fresh BENCH_spawn_path.json (written by bench_spawn_path)
 against the checked-in baseline and fails when the measured spawn+sync
-pair exceeds RATIO_MAX times the baseline envelope. The envelope is a
-conservative shared-runner number, so a failure here means the fast path
-structurally regressed (a lock, a malloc, pedigree maintenance growing an
-allocation) — not noise.
+pair, or the single-worker fib leg's time per spawn, exceeds RATIO_MAX
+times its baseline envelope. The envelopes are measured release-build
+numbers, so a failure here means the fast path structurally regressed (a
+lock, a malloc, an unstolen spawn or sync falling back to the out-of-line
+calls) — not noise.
 
 It also fails when the single-worker fib leg drew any task-pool block:
 an unstolen spawn keeps its spawn record in the child's slot, so that leg
@@ -34,10 +35,10 @@ def wide_pfor_rate(doc: dict) -> float:
     raise KeyError("no wide_pfor_grain1 throughput leg")
 
 
-def p1_fib_task_allocs_per_spawn(doc: dict) -> float:
+def p1_fib_leg(doc: dict) -> dict:
     for leg in doc.get("throughput", []):
         if leg.get("workload") == "fib_cutoff0" and leg.get("workers") == 1:
-            return float(leg["task_allocs_per_spawn"])
+            return leg
     raise KeyError("no single-worker fib_cutoff0 throughput leg")
 
 
@@ -77,10 +78,20 @@ def main() -> int:
         f"({WIDE_PFOR_FLOOR_RATIO}x)"
     )
     try:
-        allocs = p1_fib_task_allocs_per_spawn(measured)
-    except (KeyError, ValueError) as e:
-        print(f"FAIL: cannot read P=1 fib task allocations: {e}", file=sys.stderr)
+        fib = p1_fib_leg(measured)
+        allocs = float(fib["task_allocs_per_spawn"])
+        fib_ns = 1e9 / float(fib["spawns_per_sec"])
+        fib_base = float(baseline["p1_fib_ns_per_spawn"])
+    except (KeyError, ValueError, ZeroDivisionError) as e:
+        print(f"FAIL: cannot read the P=1 fib leg: {e}", file=sys.stderr)
         return 1
+    fib_budget = fib_base * RATIO_MAX
+    fib_ok = fib_ns <= fib_budget
+    ok = ok and fib_ok
+    print(
+        f"{'OK' if fib_ok else 'FAIL'}: P=1 fib {fib_ns:.1f}ns per spawn, "
+        f"baseline {fib_base:.1f}ns, budget {fib_budget:.1f}ns ({RATIO_MAX}x)"
+    )
     allocs_ok = allocs == 0
     ok = ok and allocs_ok
     print(

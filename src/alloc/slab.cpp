@@ -29,42 +29,28 @@ struct depot_class {
   std::mutex mu;
   magazine* full = nullptr;    ///< stack of magazines with blocks
   magazine* empty = nullptr;   ///< stack of drained shells
-  slab_header* slabs = nullptr;  ///< every slab ever carved (teardown list)
+  slab_header* slabs = nullptr;  ///< every slab ever carved, newest first
   std::size_t bump = 0;          ///< carve offset into the head slab
   std::uint64_t slabs_created = 0;
   std::uint64_t magazines_created = 0;
-
-  ~depot_class() {
-    // Teardown only: threads are gone (thread_local caches destruct before
-    // function-local statics on the main thread; pool threads are joined).
-    auto free_stack = [](magazine* m) {
-      while (m != nullptr) {
-        magazine* next = m->next;
-        delete m;
-        m = next;
-      }
-    };
-    free_stack(full);
-    free_stack(empty);
-    while (slabs != nullptr) {
-      slab_header* next = slabs->next;
-      ::operator delete(slabs, std::align_val_t{block_align});
-      slabs = next;
-    }
-  }
 };
 
 struct depot {
   depot_class classes[num_classes];
-  // Thread registry: counter blocks are immortal (leaked deliberately) so
+  // Thread registry: counter blocks live as long as the depot, so
   // slab_totals() and worker-stats snapshots may read a thread's counters
   // after it exited.
   std::mutex reg_mu;
   std::vector<slab_thread_counters*> counter_blocks;
 };
 
+/// The depot is immortal: built on first use and never destroyed. A pool
+/// thread or a static object may still allocate, free or read counters
+/// after main's function-local statics are torn down, and every slab,
+/// magazine and counter block stays reachable from here, so a leak checker
+/// reports none of them as lost.
 depot& the_depot() {
-  static depot d;
+  static depot& d = *new depot;
   return d;
 }
 

@@ -20,7 +20,7 @@
 //   up), the thread exchanges a *whole magazine* with the depot under a
 //   per-class mutex: one lock acquisition amortized over magazine_capacity
 //   block operations. The depot refills empty magazines by carving blocks
-//   out of 64 KiB slabs; slabs are retained until process teardown, so a
+//   out of 64 KiB slabs; slabs are never released (the depot is immortal), so a
 //   block's address is stable for the process lifetime and cross-thread
 //   frees (a task stolen by worker B, freed by B, allocated by A) simply
 //   migrate blocks between magazines.
@@ -99,7 +99,7 @@ struct slab_thread_counters {
   /// Full magazines handed back to the depot (cap overflow, thread exit).
   std::atomic<std::uint64_t> magazine_returns{0};
   /// Slabs the depot carved to serve this thread's refills. Slabs are
-  /// never returned before teardown, so the process-wide sum is also the
+  /// never returned, so the process-wide sum is also the
   /// live-slab gauge.
   std::atomic<std::uint64_t> slabs_created{0};
 };
@@ -303,7 +303,7 @@ struct slab_stats {
   slab_class_stats classes[num_classes + 1];
   std::uint64_t magazine_refills = 0;
   std::uint64_t magazine_returns = 0;
-  /// Slabs carved and still held (slabs are only released at teardown).
+  /// Slabs carved and still held (slabs are never released).
   std::uint64_t slabs_live = 0;
   /// Magazine shells the depot ever allocated (also never released early).
   std::uint64_t magazines_live = 0;

@@ -215,16 +215,15 @@ bool scheduler::help_one(worker& w) {
     if (c->prefer_steal(w.id) && steal_and_execute(w)) return true;
   }
   chaos_perturb(&w, chaos_point::pop_bottom);
-  // A single-worker scheduler has no pool threads, hence no thief to race:
-  // the exclusive pop skips the Chase–Lev fence and last-element CAS.
-  const std::optional<task*> t = workers_.size() == 1
-                                     ? w.deque.pop_bottom_exclusive()
-                                     : w.deque.pop_bottom();
-  if (t) {
-    execute(w, *t, /*stolen=*/false);
+  if (task* t = pop_own(w)) {
+    execute(w, t, /*stolen=*/false);
     return true;
   }
   return steal_and_execute(w);
+}
+
+task* scheduler::pop_shared(worker& w) {
+  return w.deque.pop_bottom().value_or(nullptr);
 }
 
 bool scheduler::steal_and_execute(worker& w) {
@@ -275,35 +274,30 @@ bool scheduler::steal_and_execute(worker& w) {
 }
 
 void scheduler::execute(worker& w, task* t, bool stolen) {
-  bump_counter(w.tasks_executed);  // w is the executing worker: single writer
   chaos_perturb(&w, chaos_point::task_run);
-  t->execute(stolen);  // destroys the record itself; t is dead afterwards
+  run_task(w, t, stolen);
 }
 
-void scheduler::push(worker& w, task* t) {
-  w.deque.push_bottom(t);
-  // Owner-only peak tracking: push_bottom runs on w's thread, so the
-  // estimate is exact here and the load-max-store is single-writer.
-  const auto depth = static_cast<std::uint64_t>(w.deque.size_estimate());
-  if (depth > w.peak_deque.load(std::memory_order_relaxed)) {
-    w.peak_deque.store(depth, std::memory_order_relaxed);
-  }
-  chaos_perturb(&w, chaos_point::spawn_push);
-  if (workers_.size() > 1) {
-    // Wake half of the register→recheck→wait protocol (see worker_main).
-    // The fence orders the deque push before the idlers_ load — the
-    // Dekker-style edge that guarantees a parker either sees the task or
-    // is seen here. A single-worker scheduler skips all of it: there is
-    // nobody to wake, and the spawn fast path stays fence-free.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (idlers_.load(std::memory_order_relaxed) > 0) {
-      {
-        std::lock_guard lock(idle_mu_);
-        ++wake_epoch_;
-      }
-      idle_cv_.notify_one();
+void scheduler::wake_idlers() {
+  // Wake half of the register→recheck→wait protocol (see worker_main).
+  // The fence orders push's deque push before the idlers_ load — the
+  // Dekker-style edge that guarantees a parker either sees the task or is
+  // seen here.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (idlers_.load(std::memory_order_relaxed) > 0) {
+    {
+      std::lock_guard lock(idle_mu_);
+      ++wake_epoch_;
     }
+    idle_cv_.notify_one();
   }
+}
+
+void trace_emit(trace::event_ring* ring, const worker& w,
+                trace::event_kind kind, std::uint64_t frame,
+                std::uint64_t aux64, std::uint32_t aux32, std::uint16_t aux16) {
+  ring->try_push(trace::event{now_ns(), frame, aux64, aux32, aux16, kind,
+                              static_cast<std::uint16_t>(w.id)});
 }
 
 worker_stats scheduler::stats() const {

@@ -64,6 +64,7 @@ namespace cilkpp::rt {
 
 class scheduler;
 class context;
+struct worker;
 
 /// Scheduling boundaries at which an installed chaos_policy may perturb the
 /// schedule (src/stress). Every one of these is a point where the paper's
@@ -106,11 +107,11 @@ struct task {
   task(context* parent, frame_slot* slot, std::uint64_t ped)
       : parent_frame(parent), parent_slot(slot), child_ped_hash(ped) {}
   virtual ~task() = default;
-  /// Runs the child on the calling worker, delivers its results (reducer
-  /// views, exception) into the parent's slot, destroys this record, and
-  /// signals the parent. `stolen` is the thief's mark: true iff the calling
-  /// worker stole the record rather than popping it from its own deque.
-  virtual void execute(bool stolen) = 0;
+  /// Runs the child on worker w (the calling thread's), delivers its results
+  /// (reducer views, exception) into the parent's slot, destroys this
+  /// record, and signals the parent. `stolen` is the thief's mark: true iff
+  /// w stole the record rather than popping it from its own deque.
+  virtual void execute(worker& w, bool stolen) = 0;
 
   context* parent_frame;
   /// The child's slot in the parent's window. Stable for the child's whole
@@ -203,13 +204,22 @@ struct worker_stats {
   void merge(const worker_stats& o);
 };
 
+/// Bumps a single-writer statistics counter. Every worker counter below is
+/// written only by its owning worker (snapshot/reset require quiescence), so
+/// a plain load+store is race-free and avoids the lock-prefixed RMW a
+/// fetch_add would put on the spawn/sync hot path.
+inline void bump_counter(std::atomic<std::uint64_t>& c) {
+  c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
+
 /// One worker: a deque plus scheduling state. Workers are created by the
 /// scheduler; worker 0 belongs to the thread that calls run(). Counters are
 /// relaxed atomics: each is written by its own worker but snapshot/reset by
 /// whoever calls scheduler::stats().
 struct worker {
   worker(unsigned id_, scheduler* sched_, std::uint64_t seed, unsigned nworkers)
-      : id(id_), sched(sched_), rng(seed), steals_from(nworkers) {}
+      : id(id_), sched(sched_), solo(nworkers == 1), rng(seed),
+        steals_from(nworkers) {}
 
   worker_stats snapshot_stats() const {
     worker_stats s;
@@ -280,8 +290,32 @@ struct worker {
     alloc_counters.store(c, std::memory_order_release);
   }
 
+  /// Live-frame census at a frame's start (depth = its spawn depth) and
+  /// end. Both run on this worker (a frame never migrates), so the
+  /// counters are single-writer and load-max-store is race-free. The live
+  /// count is this worker's call depth including nested helping; its peak
+  /// bounds the deque depth in the stress oracle's busy-leaves check.
+  void frame_entered(std::uint64_t depth) {
+    if (depth > max_frame_depth.load(std::memory_order_relaxed)) {
+      max_frame_depth.store(depth, std::memory_order_relaxed);
+    }
+    bump_counter(live_frames);
+    const std::uint64_t live = live_frames.load(std::memory_order_relaxed);
+    if (live > peak_live_frames.load(std::memory_order_relaxed)) {
+      peak_live_frames.store(live, std::memory_order_relaxed);
+    }
+  }
+  void frame_left() {
+    const std::uint64_t prior = live_frames.load(std::memory_order_relaxed);
+    CILKPP_ASSERT(prior != 0, "live-frame census underflow");
+    live_frames.store(prior - 1, std::memory_order_relaxed);
+  }
+
   unsigned id;
   scheduler* sched;
+  /// The scheduler has this one worker only: no pool thread exists, so no
+  /// thief can race the owner and its deque pops need no fence or CAS.
+  const bool solo;
   chase_lev_deque<task*> deque;  // top_/bottom_ are line-padded internally
   xoshiro256 rng;
   /// Owner-only: the slot windows of every frame live on this worker, and
@@ -336,28 +370,44 @@ struct worker {
 #endif
 };
 
-/// Bumps a single-writer statistics counter. Every worker counter below is
-/// written only by its owning worker (snapshot/reset require quiescence), so
-/// a plain load+store is race-free and avoids the lock-prefixed RMW a
-/// fetch_add would put on the spawn/sync hot path.
-inline void bump_counter(std::atomic<std::uint64_t>& c) {
-  c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+/// The trace ring attached to w, or null; always null when tracing is
+/// compiled out (CILKPP_TRACE_ENABLED=0). Hooks change only between runs,
+/// so each entry point of the spawn/sync path (a spawn, a sync, a task's
+/// execute) loads it once and hands it to every record it makes.
+inline trace::event_ring* trace_ring_of(const worker* w) {
+#if CILKPP_TRACE_ENABLED
+  return w->trace_ring.load(std::memory_order_acquire);
+#else
+  (void)w;
+  return nullptr;
+#endif
 }
 
-/// Records one trace event on w's ring, if a trace session is attached.
-/// Costs a single load+branch when tracing is idle; compiles to nothing
-/// when tracing is compiled out (CILKPP_TRACE_ENABLED=0).
+/// Stamps one event and pushes it on `ring`, worker w's own. Out of line
+/// and cold: an untraced spawn/sync path pays a null test per entry point
+/// and keeps the clock read and the push out of its code.
+[[gnu::cold]] void trace_emit(trace::event_ring* ring, const worker& w,
+                              trace::event_kind kind, std::uint64_t frame,
+                              std::uint64_t aux64, std::uint32_t aux32,
+                              std::uint16_t aux16);
+
+/// Records one trace event on `ring` (from trace_ring_of(&w)), if any.
+inline void trace_record(trace::event_ring* ring, const worker& w,
+                         trace::event_kind kind, std::uint64_t frame,
+                         std::uint64_t aux64 = 0, std::uint32_t aux32 = 0,
+                         std::uint16_t aux16 = 0) {
+  if (ring != nullptr) [[unlikely]] {
+    trace_emit(ring, w, kind, frame, aux64, aux32, aux16);
+  }
+}
+
+/// Records one trace event on w's ring, if a trace session is attached: the
+/// form for a site that is its entry point's only record (a spawn, a steal,
+/// a root or called frame's end).
 inline void trace_record(worker* w, trace::event_kind kind, std::uint64_t frame,
                          std::uint64_t aux64 = 0, std::uint32_t aux32 = 0,
                          std::uint16_t aux16 = 0) {
-#if CILKPP_TRACE_ENABLED
-  if (trace::event_ring* ring = w->trace_ring.load(std::memory_order_acquire)) {
-    ring->try_push(trace::event{now_ns(), frame, aux64, aux32, aux16, kind,
-                                static_cast<std::uint16_t>(w->id)});
-  }
-#else
-  (void)w; (void)kind; (void)frame; (void)aux64; (void)aux32; (void)aux16;
-#endif
+  trace_record(trace_ring_of(w), *w, kind, frame, aux64, aux32, aux16);
 }
 
 /// Fires one chaos point on w, if a chaos policy is installed. One
@@ -458,9 +508,10 @@ class context {
 
   enum class kind : std::uint8_t { root, spawned, called };
 
+  /// `ring` is trace_ring_of(home), loaded once by the caller.
   context(scheduler* sched, worker* home, context* parent, frame_slot* parent_slot,
-          kind k, std::uint64_t ped_hash, std::uint64_t birth_rank,
-          bool stolen = false);
+          kind k, std::uint64_t ped_hash, std::uint64_t birth_rank, bool stolen,
+          trace::event_ring* ring);
 
   /// Deterministic pedigree chaining: the child born at rank r of a frame
   /// with prefix h gets prefix ped_mix(h, r). Trace also uses the hash as
@@ -475,11 +526,21 @@ class context {
   void spawn_record(Args&&... args);
 
   /// Helps until all spawned children have completed (never throws).
+  /// Inline part: pops and runs this frame's own children while no chaos
+  /// policy is installed.
   void wait_children() noexcept;
 
+  /// Out-of-line part of wait_children: the help-and-steal loop, taken
+  /// when a child was stolen or a chaos policy is installed.
+  void wait_stolen() noexcept;
+
   /// Folds all slots left-to-right into one segment; returns the serially
-  /// earliest child exception (or null).
+  /// earliest child exception (or null). Inline for the O(1) clean cases.
   std::exception_ptr fold_slots();
+
+  /// Out-of-line part of fold_slots: the walk over a window whose slots
+  /// hold views or an exception, or that holds a strand segment.
+  std::exception_ptr fold_walk();
 
   /// What a finished spawned frame hands its parent.
   struct spawn_result {
@@ -487,17 +548,26 @@ class context {
     view_map views;
   };
 
-  /// Spawned-child epilogue, part 1: the implicit sync and fold. A frame
-  /// whose window is empty (it spawned nothing and opened no segment since
-  /// its last sync) skips both.
-  spawn_result join_spawned(std::exception_ptr body_exception) noexcept;
+  /// Spawned-child epilogue, part 1: the implicit sync and fold, recorded
+  /// on `ring`. A frame whose window is empty (it spawned nothing and
+  /// opened no segment since its last sync) skips both inline.
+  spawn_result join_spawned(std::exception_ptr body_exception,
+                            trace::event_ring* ring) noexcept;
+
+  /// Out-of-line part of join_spawned for a non-empty window: waits, folds,
+  /// and moves the folded views and the serially earliest exception into r.
+  void join_window(spawn_result& r) noexcept;
 
   /// Spawned-child epilogue, part 2 (after the spawn record is destroyed):
   /// delivers `r` into the parent's slot, records frame_end, and signals
   /// the parent — a plain decrement of its outstanding count when this
   /// child was popped by the parent's own worker, a release increment of
   /// its stolen-join counter when a thief ran it.
-  void signal_parent(spawn_result& r) noexcept;
+  void signal_parent(spawn_result& r, trace::event_ring* ring) noexcept;
+
+  /// Out-of-line part of signal_parent: writes a non-empty result into the
+  /// parent's slot.
+  void deliver(spawn_result& r) noexcept;
 
   /// A finishing child's last touch of its parent frame (this).
   void signal_join(bool stolen) noexcept {
@@ -691,8 +761,19 @@ class scheduler {
   /// Returns false if no work was found anywhere.
   bool help_one(worker& w);
   bool steal_and_execute(worker& w);
+  /// Runs a dequeued task on w after its chaos point.
   void execute(worker& w, task* t, bool stolen);
+  /// Runs a dequeued task on w: the census bump and the task itself.
+  void run_task(worker& w, task* t, bool stolen);
+  /// Pops w's own deque bottom (null when empty): inline and exclusive on a
+  /// solo worker, the out-of-line concurrent pop otherwise.
+  task* pop_own(worker& w);
+  task* pop_shared(worker& w);
+  /// Pushes a spawned child on w's deque; the wake half is wake_idlers.
   void push(worker& w, task* t);
+  /// Wake half of the parking protocol (see worker_main); its fence keeps
+  /// it out of line.
+  void wake_idlers();
   /// Racy probe: true if any worker's deque looks non-empty. Used by the
   /// idle-parking recheck; exactness is provided by the protocol's fences,
   /// not by this estimate.
@@ -728,22 +809,24 @@ struct spawn_task final : task {
   spawn_task(frame_slot* slot, context* parent, std::uint64_t ped, Fn f)
       : task(parent, slot, ped), fn(std::move(f)) {}
 
-  void execute(bool stolen) override {
-    context child(parent_frame->sched_, scheduler::current_worker(), parent_frame,
-                  parent_slot, context::kind::spawned, child_ped_hash,
-                  birth_rank(), stolen);
+  void execute(worker& w, bool stolen) override {
+    trace::event_ring* const ring = trace_ring_of(&w);
+    context child(parent_frame->sched_, &w, parent_frame, parent_slot,
+                  context::kind::spawned, child_ped_hash, birth_rank(), stolen,
+                  ring);
     std::exception_ptr body_exception;
     try {
       fn(child);
     } catch (...) {
       body_exception = std::current_exception();
     }
-    context::spawn_result r = child.join_spawned(std::move(body_exception));
+    context::spawn_result r =
+        child.join_spawned(std::move(body_exception), ring);
     // The closure dies here: after the implicit sync, because grandchildren
     // may read its captures until then, and before the signal, because
     // after it the parent may recycle the slot this record lives in.
     destroy_record(this);
-    child.signal_parent(r);
+    child.signal_parent(r, ring);
   }
 
   Fn fn;
@@ -764,21 +847,14 @@ struct leaf_task final : task {
             Index begin, Index end)
       : task(parent, slot, ped), body(std::move(b)), begin_(begin), end_(end) {}
 
-  void execute(bool stolen) override {
-    worker* w = scheduler::current_worker();
+  void execute(worker& w, bool stolen) override {
+    trace::event_ring* const ring = trace_ring_of(&w);
     context* parent = parent_frame;
     frame_slot* slot = parent_slot;
     const std::uint64_t ped = child_ped_hash;
     const std::uint64_t depth = parent->depth_ + 1;
-    if (depth > w->max_frame_depth.load(std::memory_order_relaxed)) {
-      w->max_frame_depth.store(depth, std::memory_order_relaxed);
-    }
-    bump_counter(w->live_frames);
-    const std::uint64_t live = w->live_frames.load(std::memory_order_relaxed);
-    if (live > w->peak_live_frames.load(std::memory_order_relaxed)) {
-      w->peak_live_frames.store(live, std::memory_order_relaxed);
-    }
-    trace_record(w, trace::event_kind::frame_begin, ped, parent->ped_hash_,
+    w.frame_entered(depth);
+    trace_record(ring, w, trace::event_kind::frame_begin, ped, parent->ped_hash_,
                  static_cast<std::uint32_t>(depth),
                  static_cast<std::uint16_t>(context::kind::spawned));
     std::exception_ptr body_exception;
@@ -789,26 +865,187 @@ struct leaf_task final : task {
     }
     // Implicit sync of a frame with no children: rank stays 0, nothing to
     // wait for, nothing to fold.
-    trace_record(w, trace::event_kind::sync_begin, ped, 0, 0, 1);
-    trace_record(w, trace::event_kind::sync_end, ped, 0, 0, 1);
+    trace_record(ring, w, trace::event_kind::sync_begin, ped, 0, 0, 1);
+    trace_record(ring, w, trace::event_kind::sync_end, ped, 0, 0, 1);
     destroy_record(this);
     if (body_exception) {
       CILKPP_ASSERT(slot != nullptr && slot->is_child, "spawn slot mismatch");
       slot->exception = std::move(body_exception);
       parent->child_delivered_.store(true, std::memory_order_relaxed);
     }
-    trace_record(w, trace::event_kind::frame_end, ped);
+    trace_record(ring, w, trace::event_kind::frame_end, ped);
     parent->signal_join(stolen);
-    const std::uint64_t prior_live =
-        w->live_frames.load(std::memory_order_relaxed);
-    CILKPP_ASSERT(prior_live != 0, "live-frame census underflow");
-    w->live_frames.store(prior_live - 1, std::memory_order_relaxed);
+    w.frame_left();
   }
 
   Body body;
   Index begin_;
   Index end_;
 };
+
+// ---------------------------------------------------------------------------
+// The spawn/sync fast path (DESIGN.md §4, "lock-free join"). Everything an
+// unstolen spawn+sync executes is defined here, inline. What only a steal, a
+// chaos policy, a throw, reducer views or a trace record need is a call to
+// an out-of-line part in context.cpp or scheduler.cpp, and each part exists
+// once: the fast path is the common case of the same code, not a copy of
+// it. Each entry point loads each hook once.
+
+inline context::context(scheduler* sched, worker* home, context* parent,
+                        frame_slot* parent_slot, kind k, std::uint64_t ped_hash,
+                        std::uint64_t birth_rank, bool stolen,
+                        trace::event_ring* ring)
+    : sched_(sched),
+      home_(home),
+      parent_(parent),
+      parent_slot_(parent_slot),
+      kind_(k),
+      depth_(parent == nullptr ? 0 : parent->depth_ + 1),
+      ped_hash_(ped_hash),
+      birth_rank_(birth_rank),
+      stolen_(stolen),
+      arena_(home->slots) {
+  home_->frame_entered(depth_);
+  trace_record(ring, *home_, trace::event_kind::frame_begin, ped_hash_,
+               parent_ == nullptr ? 0 : parent_->ped_hash_,
+               static_cast<std::uint32_t>(depth_),
+               static_cast<std::uint16_t>(kind_));
+}
+
+inline context::~context() {
+  CILKPP_ASSERT(finished_, "context destroyed before its epilogue ran");
+  // The destructor runs on the home worker for every frame kind (child
+  // stealing never migrates a frame), so begin/end pairs nest per worker.
+  //
+  // Spawned frames record frame_end inside signal_parent instead: this
+  // destructor runs *after* the parent was signalled, so the root sync
+  // could already have passed and trace teardown (session::assemble →
+  // scheduler::remove_trace + ring drain) could race a record issued here.
+  // Root and called frames are destroyed strictly inside run() on the
+  // thread that will later tear the trace down, so recording here is safe
+  // for them.
+  if (kind_ != kind::spawned) {
+    trace_record(home_, trace::event_kind::frame_end, ped_hash_);
+  }
+  // Release the window. Normally it is empty by now (every epilogue folds
+  // and takes its views); an exception that unwound through a call leaves
+  // slot contents behind, which must not leak into the next window here.
+  if (!arena_.empty()) [[unlikely]] arena_.clear();
+  home_->frame_left();
+}
+
+inline task* scheduler::pop_own(worker& w) {
+  if (w.solo) return w.deque.pop_bottom_exclusive().value_or(nullptr);
+  return pop_shared(w);
+}
+
+inline void scheduler::run_task(worker& w, task* t, bool stolen) {
+  bump_counter(w.tasks_executed);  // w is the executing worker: single writer
+  t->execute(w, stolen);  // destroys the record itself; t is dead afterwards
+}
+
+inline void scheduler::push(worker& w, task* t) {
+  w.deque.push_bottom(t);
+  // Owner-only peak tracking: push_bottom runs on w's thread, so the
+  // estimate is exact here and the load-max-store is single-writer.
+  const auto depth = static_cast<std::uint64_t>(w.deque.size_estimate());
+  if (depth > w.peak_deque.load(std::memory_order_relaxed)) {
+    w.peak_deque.store(depth, std::memory_order_relaxed);
+  }
+  chaos_perturb(&w, chaos_point::spawn_push);
+  // A solo worker has nobody to wake, so its spawn stays fence-free.
+  if (!w.solo) wake_idlers();
+}
+
+inline void context::wait_children() noexcept {
+  // The paper's sync is a *local* barrier: only this frame's children are
+  // awaited. Work-first: while no chaos policy asks for another order, this
+  // worker runs its own children straight off its deque bottom, on this
+  // thread, and each decrements outstanding_ as it finishes. The bottom
+  // entry is always one of this frame's children: frames nested inside it
+  // synced before returning, so nothing newer is queued, and thieves take
+  // the oldest entries first, so once one of this frame's children is
+  // stolen every older entry is gone too. An empty pop with children still
+  // outstanding therefore means they were all stolen; only then (or under
+  // chaos) does wait_stolen's help-and-steal loop run.
+  worker& w = *home_;
+  if (w.chaos.load(std::memory_order_acquire) == nullptr) [[likely]] {
+    while (outstanding_ != 0) {
+      task* t = sched_->pop_own(w);
+      if (t == nullptr) break;
+      sched_->run_task(w, t, /*stolen=*/false);
+    }
+    // Every child ran here, so none touched stolen_joined_ either.
+    if (outstanding_ == 0) return;
+  }
+  wait_stolen();
+}
+
+inline std::exception_ptr context::fold_slots() {
+  // No child slot since the last fold means nothing to wait for and
+  // nothing to fold — without child slots the window holds at most one
+  // owner segment (new segments are only opened when the previous slot is
+  // a child slot), which a fold would pass through unchanged. The view
+  // cache stays valid too, since no view moves.
+  if (!arena_.has_children()) return nullptr;
+  // Precondition (asserted): children all completed — stolen children's
+  // release increments were paired by wait_children's acquire, so plain
+  // reads of slot contents (and of child_delivered_) are ordered after the
+  // children's writes.
+  CILKPP_ASSERT(outstanding_ == 0, "fold_slots with children still running");
+  // Clean case: no child delivered views or an exception (every child
+  // slot is still pristine) and no strand segment was opened, so the fold
+  // is the identity — drop the window in O(1). This is the steady state
+  // of a spawn+sync loop without reducers.
+  if (!child_delivered_.load(std::memory_order_relaxed) &&
+      arena_.all_children()) {
+    arena_.reset_clean();
+    return nullptr;
+  }
+  return fold_walk();
+}
+
+inline void context::sync() {
+  CILKPP_ASSERT(!finished_, "sync on a finished frame");
+  bump_rank();  // the strand after the sync is new
+  trace::event_ring* const ring = trace_ring_of(home_);
+  trace_record(ring, *home_, trace::event_kind::sync_begin, ped_hash_, 0,
+               static_cast<std::uint32_t>(rank_));
+  wait_children();
+  std::exception_ptr ex = fold_slots();
+  trace_record(ring, *home_, trace::event_kind::sync_end, ped_hash_, 0,
+               static_cast<std::uint32_t>(rank_));
+  if (ex) std::rethrow_exception(ex);
+}
+
+inline context::spawn_result context::join_spawned(
+    std::exception_ptr body_exception, trace::event_ring* ring) noexcept {
+  trace_record(ring, *home_, trace::event_kind::sync_begin, ped_hash_, 0,
+               static_cast<std::uint32_t>(rank_), /*implicit=*/1);
+  // The body's exception unwound past the implicit sync, so in serial
+  // execution it is what the parent would see; join_window falls back to
+  // the serially earliest child exception otherwise.
+  spawn_result r{std::move(body_exception), {}};
+  // An empty window means no child and no segment since the last sync:
+  // nothing to wait for, fold, or hand over.
+  if (!arena_.empty()) [[unlikely]] join_window(r);
+  trace_record(ring, *home_, trace::event_kind::sync_end, ped_hash_, 0,
+               static_cast<std::uint32_t>(rank_), /*implicit=*/1);
+  return r;
+}
+
+inline void context::signal_parent(spawn_result& r,
+                                   trace::event_ring* ring) noexcept {
+  if (!r.views.empty() || r.exception) [[unlikely]] deliver(r);
+  finished_ = true;
+  // frame_end must be recorded *before* the parent learns this child is
+  // done: the signal may let the enclosing syncs — up to the root —
+  // complete, after which run() returns and the trace session may detach
+  // and drain the rings. Any record after this point would race that
+  // teardown (lost events at best, a push into a freed ring at worst).
+  trace_record(ring, *home_, trace::event_kind::frame_end, ped_hash_);
+  parent_->signal_join(stolen_);
+}
 
 template <typename T, typename... Args>
 void context::spawn_record(Args&&... args) {
@@ -850,7 +1087,7 @@ auto context::run_called(Fn& fn, view_map& views)
   const std::uint64_t child_birth = rank_;
   bump_rank();  // the continuation after the call is a new strand
   context child(sched_, home_, this, /*parent_slot=*/nullptr, kind::called,
-                child_ped, child_birth);
+                child_ped, child_birth, /*stolen=*/false, trace_ring_of(home_));
   using result = decltype(fn(child));
   if constexpr (std::is_void_v<result>) {
     try {
@@ -897,11 +1134,13 @@ auto scheduler::run(Fn&& fn) -> decltype(fn(std::declval<context&>())) {
                 "concurrent or nested scheduler::run is not supported");
   CILKPP_ASSERT(current_worker() == nullptr,
                 "run() may not be called from a worker thread");
-  set_current_worker(workers_[0].get());
-  workers_[0]->attach_alloc_counters();
+  worker* const w0 = workers_[0].get();
+  set_current_worker(w0);
+  w0->attach_alloc_counters();
 
-  context root(this, workers_[0].get(), nullptr, nullptr, context::kind::root,
-               /*ped_hash=*/ped::root_seed, /*birth_rank=*/0);
+  context root(this, w0, nullptr, nullptr, context::kind::root,
+               /*ped_hash=*/ped::root_seed, /*birth_rank=*/0, /*stolen=*/false,
+               trace_ring_of(w0));
   auto cleanup = [&]() {
     set_current_worker(nullptr);
     run_active_.store(false);

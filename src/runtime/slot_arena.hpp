@@ -81,9 +81,7 @@ class slot_stack {
   /// Pushes one (pristine) slot. Chunks are allocated the first time the
   /// stack grows into them and retained afterwards.
   frame_slot& push() {
-    if (top_ == chunks_.size() * chunk_slots) {
-      chunks_.push_back(std::make_unique<chunk>());
-    }
+    if (top_ == chunks_.size() * chunk_slots) [[unlikely]] add_chunk();
     return at(top_++);
   }
 
@@ -98,6 +96,11 @@ class slot_stack {
   struct chunk {
     frame_slot slots[chunk_slots];
   };
+
+  /// Kept out of the spawn path: runs once per chunk in the stack's life.
+  [[gnu::noinline]] void add_chunk() {
+    chunks_.push_back(std::make_unique<chunk>());
+  }
 
   std::vector<std::unique_ptr<chunk>> chunks_;
   std::size_t top_ = 0;

@@ -1137,5 +1137,151 @@ TEST(SpawnProtocol, OversizeClosureRunsThroughTaskAllocateAndBalances) {
   EXPECT_EQ(after.live(), before.live());
 }
 
+// ---------------------------------------------------------------------------
+// The out-of-line branches of the spawn/sync path: a child whose window is
+// not empty when its body returns, a child that throws, and a child that
+// hands reducer views to its parent. Each runs on one worker, where every
+// child is popped by its own parent, and on four workers with a chaos
+// policy that forces steals, where children migrate.
+
+struct branch_config {
+  unsigned workers;
+  bool force_steals;
+};
+
+class SlowBranches : public ::testing::TestWithParam<branch_config> {
+ protected:
+  /// Runs fn(ctx, round) `rounds` times on the configured scheduler. Under
+  /// forced steals it keeps going (for up to 10 s) until a thief has taken
+  /// at least one task: a round is short, and the pool's thieves may still
+  /// be parked when one ends.
+  template <typename Fn>
+  void run_rounds(int rounds, Fn fn) {
+    stress::chaos_params params;
+    params.prefer_steal_chance = 0xffff;  // force-steal nearly everything
+    stress::seeded_chaos chaos(params, 11, GetParam().workers);
+    scheduler sched(GetParam().workers);
+    if (GetParam().force_steals) sched.install_chaos(&chaos);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (int round = 0;
+         round < rounds ||
+         (GetParam().force_steals && sched.stats().steals == 0 &&
+          std::chrono::steady_clock::now() < deadline);
+         ++round) {
+      sched.run([&](context& ctx) { fn(ctx, round); });
+    }
+    sched.remove_chaos();
+    const worker_stats st = sched.stats();
+    EXPECT_EQ(st.tasks_executed, st.spawns);
+    if (GetParam().force_steals) {
+      EXPECT_GT(chaos.stats().forced_steals, 0u);
+      EXPECT_GT(st.steals, 0u);
+    } else {
+      EXPECT_EQ(st.steals, 0u);
+    }
+  }
+};
+
+TEST_P(SlowBranches, ChildReturningWithUnsyncedChildrenJoinsThemFirst) {
+  constexpr int children = 8;
+  constexpr int grandchildren = 4;
+  run_rounds(20, [&](context& ctx, int) {
+    std::atomic<int> hits[children * grandchildren] = {};
+    std::atomic<int> joined_early{0};
+    const std::size_t top = ctx.slot_stack_top();
+    for (int i = 0; i < children; ++i) {
+      ctx.spawn([&, i](context& c) {
+        for (int k = 0; k < grandchildren; ++k) {
+          c.spawn([&, i, k](context&) { hits[i * grandchildren + k].fetch_add(1); });
+        }
+        // Returns with its window non-empty: the implicit sync joins them.
+      });
+    }
+    ctx.sync();
+    for (const std::atomic<int>& h : hits) {
+      if (h.load() != 1) joined_early.fetch_add(1);
+    }
+    EXPECT_EQ(joined_early.load(), 0);
+    EXPECT_EQ(ctx.slot_stack_top(), top);
+  });
+}
+
+TEST_P(SlowBranches, ChildThrowingAfterSpawningSeriallyEarliestWins) {
+  run_rounds(20, [&](context& ctx, int round) {
+    std::atomic<int> ran{0};
+    auto spawn_thrower = [&](context& c, const char* what) {
+      c.spawn([&ran, what](context&) {
+        ran.fetch_add(1);
+        throw std::runtime_error(what);
+      });
+    };
+    // A throws from its body after spawning two throwing children: its
+    // body's exception is what its implicit sync hands on. B, serially
+    // later, throws too. A's wins at the parent.
+    try {
+      ctx.spawn([&](context& a) {
+        spawn_thrower(a, "a.0");
+        spawn_thrower(a, "a.1");
+        ran.fetch_add(1);
+        throw std::runtime_error("a.body");
+      });
+      ctx.spawn([&](context& c) { spawn_thrower(c, "b.0"); });
+      ctx.sync();
+      ADD_FAILURE() << "sync did not rethrow (round " << round << ")";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "a.body") << "round " << round;
+    }
+    EXPECT_EQ(ran.load(), 4);  // every child joined before the rethrow
+    // Without a body exception, A's implicit sync hands on its serially
+    // earliest child's exception, which still beats B's.
+    ran.store(0);
+    try {
+      ctx.spawn([&](context& a) {
+        spawn_thrower(a, "a.0");
+        spawn_thrower(a, "a.1");
+      });
+      ctx.spawn([&](context& c) { spawn_thrower(c, "b.0"); });
+      ctx.sync();
+      ADD_FAILURE() << "sync did not rethrow (round " << round << ")";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "a.0") << "round " << round;
+    }
+    EXPECT_EQ(ran.load(), 3);
+  });
+}
+
+TEST_P(SlowBranches, ChildDeliveringViewsFoldsInSerialOrder) {
+  run_rounds(20, [&](context& ctx, int round) {
+    cilk::reducer<cilk::hyper::list_append<int>> out;
+    ctx.call([&](context& f) {
+      out.view(f).push_back(0);
+      f.spawn([&](context& a) {
+        out.view(a).push_back(1);
+        a.spawn([&](context& g) { out.view(g).push_back(2); });
+        out.view(a).push_back(3);
+        // Unsynced: A's implicit sync folds 1 | 2 | 3 and delivers them.
+      });
+      out.view(f).push_back(4);
+      f.spawn([&](context& b) { out.view(b).push_back(5); });
+      out.view(f).push_back(6);
+      f.spawn([](context&) {});  // a clean child between two that deliver
+      f.spawn([&](context& c) { out.view(c).push_back(7); });
+      f.sync();
+      out.view(f).push_back(8);
+    });
+    const std::list<int> expected{0, 1, 2, 3, 4, 5, 6, 7, 8};
+    EXPECT_EQ(out.collect(ctx), expected) << "round " << round;
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SoloAndForcedSteals, SlowBranches,
+    ::testing::Values(branch_config{1, false}, branch_config{4, true}),
+    [](const ::testing::TestParamInfo<branch_config>& info) {
+      return info.param.force_steals ? std::string("P4ForcedSteals")
+                                     : std::string("P1");
+    });
+
 }  // namespace
 }  // namespace cilkpp::rt

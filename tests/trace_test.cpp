@@ -319,6 +319,86 @@ TEST(Session, CapturesConsistentFibTimelineOnFourWorkers) {
   EXPECT_EQ(steal_interval_table(cap.t).rows(), 4u);
 }
 
+// ---------------------------------------------------------------------------
+// The spawn/sync fast path records exactly what the out-of-line path
+// records. A no-op chaos policy sends every sync and child epilogue down the
+// out-of-line path; its capture must equal the plain one, and both must
+// equal the values pinned below (taken from the runtime before the split).
+
+/// Keeps every default decision: installing it changes only which path runs.
+struct noop_chaos final : rt::chaos_policy {
+  void perturb(unsigned, rt::chaos_point) override {}
+  bool prefer_steal(unsigned) override { return false; }
+  std::size_t pick_victim(unsigned, std::size_t n) override { return n; }
+};
+
+struct solo_fib_trace {
+  std::uint64_t result = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t counts[6] = {};  ///< events per event_kind
+  std::uint64_t kind_hash = 0;   ///< FNV-1a over the kind sequence
+  std::uint64_t field_hash = 0;  ///< FNV-1a over every field but time/worker
+  rt::worker_stats stats;
+};
+
+solo_fib_trace trace_solo_fib16(rt::chaos_policy* chaos) {
+  scheduler sched(1);
+  if (chaos != nullptr) sched.install_chaos(chaos);
+  session cap(sched, session_options{std::size_t{1} << 15});
+  solo_fib_trace out;
+  sched.run([&](context& ctx) { out.result = workloads::fib(ctx, 16); });
+  out.dropped = cap.dropped();
+  const timeline t = cap.assemble();
+  out.stats = sched.stats();
+  constexpr std::uint64_t fnv_prime = 0x100000001b3ULL;
+  auto mix = [](std::uint64_t& h, std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h = (h ^ ((v >> (8 * b)) & 0xff)) * fnv_prime;
+    }
+  };
+  out.kind_hash = out.field_hash = 0xcbf29ce484222325ULL;
+  for (const event& e : t.events) {  // P=1: one ring, program order
+    const auto k = static_cast<std::uint8_t>(e.kind);
+    if (k < 6) ++out.counts[k];
+    mix(out.kind_hash, k);
+    mix(out.field_hash, k);
+    mix(out.field_hash, e.frame);
+    mix(out.field_hash, e.aux64);
+    mix(out.field_hash, e.aux32);
+    mix(out.field_hash, e.aux16);
+  }
+  return out;
+}
+
+TEST(Session, SoloFibTraceIsPinnedAndIdenticalOnBothPaths) {
+  const solo_fib_trace fast = trace_solo_fib16(nullptr);
+  noop_chaos hook;
+  const solo_fib_trace slow = trace_solo_fib16(&hook);
+  for (const solo_fib_trace* r : {&fast, &slow}) {
+    EXPECT_EQ(r->result, 987u);
+    // Scheduler census: the same on both paths, and the pinned values.
+    EXPECT_EQ(r->stats.spawns, 1596u);  // F(17) - 1
+    EXPECT_EQ(r->stats.tasks_executed, r->stats.spawns);
+    EXPECT_EQ(r->stats.steals, 0u);
+    EXPECT_EQ(r->stats.peak_deque, 8u);
+    EXPECT_EQ(r->stats.max_frame_depth, 15u);
+    EXPECT_EQ(r->stats.peak_live_frames, 16u);
+  }
+  if (!session::compiled_in) GTEST_SKIP() << "tracing compiled out";
+  for (const solo_fib_trace* r : {&fast, &slow}) {
+    EXPECT_EQ(r->dropped, 0u);
+    using k = event_kind;
+    EXPECT_EQ(r->counts[static_cast<int>(k::frame_begin)], 1597u);
+    EXPECT_EQ(r->counts[static_cast<int>(k::frame_end)], 1597u);
+    EXPECT_EQ(r->counts[static_cast<int>(k::spawn)], 1596u);
+    EXPECT_EQ(r->counts[static_cast<int>(k::sync_begin)], 3193u);
+    EXPECT_EQ(r->counts[static_cast<int>(k::sync_end)], 3193u);
+    EXPECT_EQ(r->counts[static_cast<int>(k::steal)], 0u);
+    EXPECT_EQ(r->kind_hash, 0x42dbd0762fc0ff43ULL);
+    EXPECT_EQ(r->field_hash, 0x42daf2f3f124cca4ULL);
+  }
+}
+
 TEST(ChromeExport, EventCountMatchesRingTotalsAndNestingIsWellFormed) {
   if (!session::compiled_in) GTEST_SKIP() << "tracing compiled out";
   fib_capture cap = capture_fib(4, 16);
