@@ -8,7 +8,9 @@
 //   * spawn throughput spawns/s at P = 1 and P = hardware_concurrency
 //                      (fib with cutoff 0: pure spawn machinery), plus a
 //                      wide parallel_for leg at P = max(2, hw) that keeps
-//                      several workers hammering the join path at once
+//                      several workers hammering the join path at once;
+//                      each leg is the best of 5 runs on one warmed
+//                      scheduler
 //   * pool draws       task_allocs_per_spawn on every throughput leg: task
 //                      pool blocks drawn per spawn. Spawn records live in
 //                      the child's slot, so an unstolen spawn draws none;
@@ -77,16 +79,17 @@ double measure_pair_ns() {
 struct throughput {
   unsigned workers = 0;
   const char* workload = "";
-  std::uint64_t spawns = 0;
-  std::uint64_t task_allocs = 0;  ///< task-pool blocks drawn by the timed run
-  double elapsed_s = 0;
+  std::uint64_t spawns = 0;  ///< spawns of the timed (best) run
+  double elapsed_s = 0;      ///< wall time of the timed (best) run
+  std::uint64_t task_allocs = 0;  ///< task-pool blocks drawn by every run
+  std::uint64_t all_spawns = 0;   ///< spawns of every run
   double spawns_per_sec() const {
     return elapsed_s > 0 ? static_cast<double>(spawns) / elapsed_s : 0;
   }
   double task_allocs_per_spawn() const {
-    return spawns > 0 ? static_cast<double>(task_allocs) /
-                            static_cast<double>(spawns)
-                      : 0;
+    return all_spawns > 0 ? static_cast<double>(task_allocs) /
+                                static_cast<double>(all_spawns)
+                          : 0;
   }
 };
 
@@ -94,51 +97,68 @@ std::uint64_t task_allocs_now() {
   return cilkpp::rt::task_pool_totals().total_allocs();
 }
 
+/// Times `reps` runs of program(ctx) on sched and keeps the fastest, best-of
+/// for the same reason as measure_pair_ns. Pool draws are summed over every
+/// run, so a single draw anywhere shows. stats_out (if given) receives the
+/// fastest run's worker_stats.
+template <typename Program>
+throughput best_of_runs(scheduler& sched, int reps, const char* workload,
+                        const Program& program,
+                        cilkpp::rt::worker_stats* stats_out = nullptr) {
+  throughput t;
+  t.workers = sched.num_workers();
+  t.workload = workload;
+  for (int r = 0; r < reps; ++r) {
+    sched.reset_stats();
+    const std::uint64_t allocs0 = task_allocs_now();
+    cilkpp::stopwatch sw;
+    sched.run(program);
+    const double elapsed = sw.elapsed_s();
+    t.task_allocs += task_allocs_now() - allocs0;
+    const cilkpp::rt::worker_stats stats = sched.stats();
+    t.all_spawns += stats.spawns;
+    if (r == 0 || elapsed < t.elapsed_s) {
+      t.elapsed_s = elapsed;
+      t.spawns = stats.spawns;
+      if (stats_out != nullptr) *stats_out = stats;
+    }
+  }
+  return t;
+}
+
+constexpr int timed_runs = 5;
+
 /// Spawn throughput of fib with cutoff 0 — every addition is a spawn, so
-/// virtually all time is the spawn/join machinery.
+/// virtually all time is the spawn/join machinery. One fib(24) run is about
+/// a millisecond, so one run alone reads mostly noise.
 throughput measure_fib_throughput(unsigned workers, unsigned n) {
   scheduler sched(workers);
   sched.run([n](context& ctx) {  // warmup
     return cilkpp::workloads::fib(ctx, n > 4 ? n - 4 : n, 0);
   });
-  sched.reset_stats();
-  const std::uint64_t allocs0 = task_allocs_now();
-  cilkpp::stopwatch sw;
-  const std::uint64_t r =
-      sched.run([n](context& ctx) { return cilkpp::workloads::fib(ctx, n, 0); });
-  throughput t;
-  t.workers = sched.num_workers();
-  t.workload = "fib_cutoff0";
-  t.elapsed_s = sw.elapsed_s();
-  t.task_allocs = task_allocs_now() - allocs0;
-  t.spawns = sched.stats().spawns;
-  cilkpp::do_not_optimize(r);
-  return t;
+  return best_of_runs(sched, timed_runs, "fib_cutoff0", [n](context& ctx) {
+    cilkpp::do_not_optimize(cilkpp::workloads::fib(ctx, n, 0));
+  });
 }
 
 /// Wide flat fan-out: a parallel_for spine with grain 1 keeps one frame
-/// spawning while helpers drain the deque — the join-contention leg.
+/// spawning while helpers drain the deque — the join-contention leg. With
+/// reps > 1 the scheduler is warmed by one untimed run first.
 throughput measure_wide_pfor_throughput(unsigned workers, std::uint64_t n,
+                                        int reps,
                                         cilkpp::rt::worker_stats* stats_out) {
   scheduler sched(workers);
   std::atomic<std::uint64_t> sink{0};
-  sched.reset_stats();
-  const std::uint64_t allocs0 = task_allocs_now();
-  cilkpp::stopwatch sw;
-  sched.run([&](context& ctx) {
+  auto loop = [&](context& ctx) {
     cilkpp::rt::parallel_for(ctx, std::uint64_t{0}, n,
                              [&](std::uint64_t i) {
                                sink.fetch_add(i, std::memory_order_relaxed);
                              },
                              /*grain=*/1);
-  });
-  throughput t;
-  t.workers = sched.num_workers();
-  t.workload = "wide_pfor_grain1";
-  t.elapsed_s = sw.elapsed_s();
-  t.task_allocs = task_allocs_now() - allocs0;
-  t.spawns = sched.stats().spawns;
-  if (stats_out != nullptr) *stats_out = sched.stats();
+  };
+  if (reps > 1) sched.run(loop);
+  const throughput t =
+      best_of_runs(sched, reps, "wide_pfor_grain1", loop, stats_out);
   cilkpp::do_not_optimize(sink.load());
   return t;
 }
@@ -170,18 +190,19 @@ int main(int argc, char** argv) {
   const throughput tp_hw =
       hw > 1 ? measure_fib_throughput(hw, 24) : tp1;
   cilkpp::rt::worker_stats wide_stats;
-  const throughput tp_wide =
-      measure_wide_pfor_throughput(hw > 2 ? hw : 2, 1u << 17, &wide_stats);
+  const throughput tp_wide = measure_wide_pfor_throughput(
+      hw > 2 ? hw : 2, 1u << 17, timed_runs, &wide_stats);
 
   // Allocator leg: by now every size class has been through a full
   // spawn-storm, so the slab layer is warmed up — magazines populated, slabs
   // carved, depot stocked. Re-running the same contention workload (fresh
   // scheduler, fresh worker threads, so this also exercises the depot's
   // magazine-recycling across thread lifetimes) must be FLAT in system
-  // allocations: every block comes from a recycled magazine.
+  // allocations: every block comes from a recycled magazine. One run: the
+  // flatness is a count, not a time.
   const auto slab_before = cilkpp::alloc::slab_totals();
   const throughput tp_steady =
-      measure_wide_pfor_throughput(hw > 2 ? hw : 2, 1u << 17, nullptr);
+      measure_wide_pfor_throughput(hw > 2 ? hw : 2, 1u << 17, 1, nullptr);
   const auto slab_after = cilkpp::alloc::slab_totals();
   const std::uint64_t slab_steady_delta =
       slab_after.system_allocs - slab_before.system_allocs;

@@ -8,11 +8,11 @@
 // frames, spawns, syncs and pedigree ranks for the same loop. The header
 // depends on no engine; it drives any context with spawn / sync / call.
 //
+// Every engine spawns a body(i) leaf the same way: as an ordinary spawned
+// closure looping body(i), so a leaf is a frame like any other (its trace
+// brackets, census, pedigree and exception delivery are the spawn path's).
 // What differs between engines is a compile-time property of the context
 // type, each read here with a default:
-//   ctx.spawn_leaf(lo, hi, body)  a specialised body(i) leaf spawn
-//                                 (rt::context); otherwise a leaf is a
-//                                 spawned closure.
 //   Ctx::pfor_split_units         work charged to the continuation per
 //                                 split (the recorder and cilkview);
 //                                 otherwise none.
@@ -81,13 +81,9 @@ void parallel_for_impl(Ctx& ctx, Index lo, Index hi, const Body& body,
   } else {
     while (static_cast<std::uint64_t>(hi - lo) > grain) {
       Index mid = lo + static_cast<decltype(hi - lo)>(grain);
-      if constexpr (requires { ctx.spawn_leaf(lo, mid, body); }) {
-        ctx.spawn_leaf(lo, mid, body);
-      } else {
-        ctx.spawn([lo, mid, &body](Ctx&) {
-          for (Index i = lo; i < mid; ++i) body(i);
-        });
-      }
+      ctx.spawn([lo, mid, &body](Ctx&) {
+        for (Index i = lo; i < mid; ++i) body(i);
+      });
       charge_split(ctx);
       lo = mid;
     }

@@ -1,6 +1,7 @@
 // cilk_for on the work-stealing runtime. The lowering is the one every
-// engine shares (runtime/lowering.hpp); rt::context supplies its body(i)
-// leaf spawn (spawn_leaf) and the default grain default_grain(n, P).
+// engine shares (runtime/lowering.hpp), body(i) leaves included: each is an
+// ordinary spawned closure. rt::context supplies only the default grain
+// default_grain(n, P).
 #pragma once
 
 #include "runtime/lowering.hpp"

@@ -325,7 +325,6 @@ void scheduler::reset_stats() {
 }
 
 void scheduler::install_trace(const std::vector<trace::event_ring*>& rings) {
-#if CILKPP_TRACE_ENABLED
   CILKPP_ASSERT(!run_active_.load(std::memory_order_acquire),
                 "install_trace while a run is in flight");
   CILKPP_ASSERT(rings.size() == workers_.size(),
@@ -337,13 +336,9 @@ void scheduler::install_trace(const std::vector<trace::event_ring*>& rings) {
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     workers_[i]->trace_ring.store(rings[i], std::memory_order_release);
   }
-#else
-  (void)rings;
-#endif
 }
 
 void scheduler::remove_trace() {
-#if CILKPP_TRACE_ENABLED
   CILKPP_ASSERT(!run_active_.load(std::memory_order_acquire),
                 "remove_trace while a run is in flight");
   // With no run in flight no worker can be mid-record, so clearing the
@@ -361,7 +356,6 @@ void scheduler::remove_trace() {
   for (auto& w : workers_) {
     w->trace_ring.store(nullptr, std::memory_order_release);
   }
-#endif
 }
 
 void scheduler::install_chaos(chaos_policy* policy) {

@@ -363,24 +363,16 @@ struct worker {
   /// Own line: the install store (another thread) must not invalidate any
   /// line the owner writes on the hot path.
   alignas(cache_line_size) std::atomic<chaos_policy*> chaos{nullptr};
-#if CILKPP_TRACE_ENABLED
   /// Installed by trace::session via scheduler::install_trace; null when no
   /// trace is being captured. Only this worker pushes into the ring.
   std::atomic<trace::event_ring*> trace_ring{nullptr};
-#endif
 };
 
-/// The trace ring attached to w, or null; always null when tracing is
-/// compiled out (CILKPP_TRACE_ENABLED=0). Hooks change only between runs,
+/// The trace ring attached to w, or null. Hooks change only between runs,
 /// so each entry point of the spawn/sync path (a spawn, a sync, a task's
 /// execute) loads it once and hands it to every record it makes.
 inline trace::event_ring* trace_ring_of(const worker* w) {
-#if CILKPP_TRACE_ENABLED
   return w->trace_ring.load(std::memory_order_acquire);
-#else
-  (void)w;
-  return nullptr;
-#endif
 }
 
 /// Stamps one event and pushes it on `ring`, worker w's own. Out of line
@@ -431,18 +423,6 @@ class context {
   /// parallel with the rest of this function.
   template <typename Fn>
   void spawn(Fn&& fn);
-
-  /// Lowering hook for parallel_for's body(i) form: spawns a child strand
-  /// that runs `body(i)` for i in [begin, end) WITHOUT constructing a full
-  /// context — a body(i) leaf cannot spawn, sync, or touch reducers, so the
-  /// frame's arena, view cache, and rank machinery would be dead weight on
-  /// the hottest path the runtime has. The leaf still replicates every
-  /// observable effect of a spawned frame: trace events (frame/sync
-  /// brackets), the live-frame census, depth accounting, pedigree chaining,
-  /// and exception delivery at the parent's sync. Not part of the public
-  /// model; user code spawns real frames.
-  template <typename Index, typename Body>
-  void spawn_leaf(Index begin, Index end, Body&& body);
 
   /// parallel_for's grain when the caller passes 0: default_grain(n, P).
   std::uint64_t pfor_default_grain(std::uint64_t n) const;
@@ -503,8 +483,6 @@ class context {
   friend class scheduler;
   template <typename>
   friend struct spawn_task;
-  template <typename, typename>
-  friend struct leaf_task;
 
   enum class kind : std::uint8_t { root, spawned, called };
 
@@ -732,8 +710,8 @@ class scheduler {
 
   /// Trace hooks (src/trace): installs one event ring per worker (rings
   /// must outlive the capture; rings.size() == num_workers()). May only be
-  /// called while no run() is in flight. No-ops when tracing is compiled
-  /// out; use trace::session rather than calling these directly.
+  /// called while no run() is in flight. Use trace::session rather than
+  /// calling these directly.
   void install_trace(const std::vector<trace::event_ring*>& rings);
   void remove_trace();
 
@@ -750,8 +728,6 @@ class scheduler {
   friend class context;
   template <typename>
   friend struct spawn_task;
-  template <typename, typename>
-  friend struct leaf_task;
 
   void worker_main(unsigned id);
   /// Fills every worker's near-first probe order and distance buckets from
@@ -830,57 +806,6 @@ struct spawn_task final : task {
   }
 
   Fn fn;
-};
-
-/// A spawned body(i) range (see context::spawn_leaf). The execute() below is
-/// a hand-inlined specialization of spawn_task::execute for a frame that is
-/// known to spawn nothing, sync nothing, and touch no reducer: it performs
-/// the same bookkeeping in the same order — depth and live-frame census,
-/// frame_begin, body, the implicit-sync bracket, record destruction,
-/// exception delivery into the parent slot, frame_end BEFORE the signal
-/// that lets the parent's sync pass (the trace-teardown ordering
-/// signal_parent documents), and the census decrement last (where the
-/// context destructor would run) — without materializing a context.
-template <typename Body, typename Index>
-struct leaf_task final : task {
-  leaf_task(frame_slot* slot, context* parent, std::uint64_t ped, Body b,
-            Index begin, Index end)
-      : task(parent, slot, ped), body(std::move(b)), begin_(begin), end_(end) {}
-
-  void execute(worker& w, bool stolen) override {
-    trace::event_ring* const ring = trace_ring_of(&w);
-    context* parent = parent_frame;
-    frame_slot* slot = parent_slot;
-    const std::uint64_t ped = child_ped_hash;
-    const std::uint64_t depth = parent->depth_ + 1;
-    w.frame_entered(depth);
-    trace_record(ring, w, trace::event_kind::frame_begin, ped, parent->ped_hash_,
-                 static_cast<std::uint32_t>(depth),
-                 static_cast<std::uint16_t>(context::kind::spawned));
-    std::exception_ptr body_exception;
-    try {
-      for (Index i = begin_; i < end_; ++i) body(i);
-    } catch (...) {
-      body_exception = std::current_exception();
-    }
-    // Implicit sync of a frame with no children: rank stays 0, nothing to
-    // wait for, nothing to fold.
-    trace_record(ring, w, trace::event_kind::sync_begin, ped, 0, 0, 1);
-    trace_record(ring, w, trace::event_kind::sync_end, ped, 0, 0, 1);
-    destroy_record(this);
-    if (body_exception) {
-      CILKPP_ASSERT(slot != nullptr && slot->is_child, "spawn slot mismatch");
-      slot->exception = std::move(body_exception);
-      parent->child_delivered_.store(true, std::memory_order_relaxed);
-    }
-    trace_record(ring, w, trace::event_kind::frame_end, ped);
-    parent->signal_join(stolen);
-    w.frame_left();
-  }
-
-  Body body;
-  Index begin_;
-  Index end_;
 };
 
 // ---------------------------------------------------------------------------
@@ -1022,9 +947,10 @@ inline context::spawn_result context::join_spawned(
     std::exception_ptr body_exception, trace::event_ring* ring) noexcept {
   trace_record(ring, *home_, trace::event_kind::sync_begin, ped_hash_, 0,
                static_cast<std::uint32_t>(rank_), /*implicit=*/1);
-  // The body's exception unwound past the implicit sync, so in serial
-  // execution it is what the parent would see; join_window falls back to
-  // the serially earliest child exception otherwise.
+  // The body's exception unwound past the implicit sync, so it is what the
+  // parent sees, even when a child threw too (the serial elision would have
+  // thrown that child's first); join_window falls back to the serially
+  // earliest child exception otherwise.
   spawn_result r{std::move(body_exception), {}};
   // An empty window means no child and no segment since the last sync:
   // nothing to wait for, fold, or hand over.
@@ -1072,12 +998,6 @@ void context::spawn(Fn&& fn) {
 
 inline std::uint64_t context::pfor_default_grain(std::uint64_t n) const {
   return default_grain(n, sched().num_workers());
-}
-
-template <typename Index, typename Body>
-void context::spawn_leaf(Index begin, Index end, Body&& body) {
-  spawn_record<leaf_task<std::decay_t<Body>, Index>>(std::forward<Body>(body),
-                                                    begin, end);
 }
 
 template <typename Fn>

@@ -10,16 +10,12 @@
 // tracing adds no identity state to the scheduler. Collisions are
 // astronomically unlikely (birthday bound on 2^64) and merely degrade one
 // timeline, never the traced program.
-//
-// Tracing compiles out entirely with -DCILKPP_TRACE_ENABLED=0 (CMake option
-// CILKPP_TRACE=OFF): every record site in the runtime disappears.
 #pragma once
 
 #include <cstdint>
 
-#ifndef CILKPP_TRACE_ENABLED
+// Retired build switch, always 1: perfbench reads it.
 #define CILKPP_TRACE_ENABLED 1
-#endif
 
 namespace cilkpp::trace {
 

@@ -5,7 +5,6 @@
 namespace cilkpp::trace {
 
 session::session(rt::scheduler& sched, session_options opts) : sched_(&sched) {
-  if (!compiled_in) return;
   const unsigned n = sched.num_workers();
   rings_.reserve(n);
   std::vector<event_ring*> raw;

@@ -9,10 +9,6 @@
 // hashes, which repeat across runs (the root's is a constant), so a second
 // run in the same session overlays the first in the assembled timeline
 // (counted under timeline::anomalies, never fatal).
-//
-// When tracing is compiled out (CILKPP_TRACE_ENABLED=0) a session still
-// constructs — compiled_in is false, nothing is recorded, and assemble()
-// returns an empty timeline — so callers need no #ifdefs.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +33,8 @@ struct session_options {
 
 class session {
  public:
-  static constexpr bool compiled_in = CILKPP_TRACE_ENABLED != 0;
+  // Retired build switch, always true: perfbench reads it.
+  static constexpr bool compiled_in = true;
 
   /// Attaches rings to every worker. The scheduler must be idle (no run()
   /// in flight) and must outlive the session.
@@ -47,7 +44,7 @@ class session {
   session(const session&) = delete;
   session& operator=(const session&) = delete;
 
-  /// True while the rings are installed (always false when compiled out).
+  /// True while the rings are installed.
   bool active() const { return active_; }
 
   /// Detaches the rings (idempotent; requires the scheduler to be idle).

@@ -458,20 +458,31 @@ TEST(Stats, StealProvenanceSumsToSteals) {
 // --- More edge cases. ---
 
 TEST(EdgeCases, ExceptionInsideParallelForBody) {
-  scheduler sched(4);
-  std::atomic<int> executed{0};
-  EXPECT_THROW(
+  // n = 1000, grain 16: the loop frame spawns [0, 500) and bursts
+  // [500, 1000), and that child bursts [0, 500), so i = 10 and i = 500 both
+  // run in spawned burst leaves (neither is in a frame's inline last grain).
+  // Each leaf delivers its exception into its parent's slot, and every sync
+  // rethrows the serially earliest slot's: i = 10, at any worker count.
+  for (unsigned workers : {1u, 4u}) {
+    scheduler sched(workers);
+    std::atomic<int> executed{0};
+    try {
       sched.run([&](context& ctx) {
         parallel_for(ctx, 0, 1000, [&](int i) {
           executed.fetch_add(1);
-          if (i == 500) throw std::runtime_error("body");
+          if (i == 10) throw std::runtime_error("i=10");
+          if (i == 500) throw std::runtime_error("i=500");
         }, 16);
-      }),
-      std::runtime_error);
-  // Some iterations ran; the scheduler survived and remains usable.
-  EXPECT_GT(executed.load(), 0);
-  const int ok = sched.run([](context&) { return 7; });
-  EXPECT_EQ(ok, 7);
+      });
+      ADD_FAILURE() << "run did not rethrow at P=" << workers;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "i=10") << "P=" << workers;
+    }
+    // Some iterations ran; the scheduler survived and remains usable.
+    EXPECT_GT(executed.load(), 0);
+    const int ok = sched.run([](context&) { return 7; });
+    EXPECT_EQ(ok, 7);
+  }
 }
 
 TEST(EdgeCases, RunReturnsMoveOnlyType) {

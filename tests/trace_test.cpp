@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/parallel_for.hpp"
 #include "runtime/scheduler.hpp"
 #include "sim/machine.hpp"
 #include "trace/chrome.hpp"
@@ -259,19 +260,7 @@ fib_capture capture_fib(unsigned workers, unsigned n,
   return out;
 }
 
-TEST(Session, CompiledOutSessionIsInert) {
-  if (session::compiled_in) GTEST_SKIP() << "tracing is compiled in";
-  scheduler sched(2);
-  session cap(sched);
-  EXPECT_FALSE(cap.active());
-  sched.run([](context& ctx) { return workloads::fib(ctx, 10); });
-  EXPECT_EQ(cap.recorded(), 0u);
-  timeline t = cap.assemble();
-  EXPECT_TRUE(t.frames.empty());
-}
-
 TEST(Session, CapturesConsistentFibTimelineOnFourWorkers) {
-  if (!session::compiled_in) GTEST_SKIP() << "tracing compiled out";
   fib_capture cap = capture_fib(4, 18);
   EXPECT_EQ(cap.expected, 2584u);
   EXPECT_EQ(cap.dropped, 0u) << "raise ring_capacity: drops break the rest";
@@ -323,7 +312,10 @@ TEST(Session, CapturesConsistentFibTimelineOnFourWorkers) {
 // The spawn/sync fast path records exactly what the out-of-line path
 // records. A no-op chaos policy sends every sync and child epilogue down the
 // out-of-line path; its capture must equal the plain one, and both must
-// equal the values pinned below (taken from the runtime before the split).
+// equal the values pinned below. fib's were taken before the inline split;
+// the two loops' while parallel_for's body(i) leaves still had an epilogue
+// of their own rather than being ordinary spawned frames. Neither change
+// may move an event, a rank or a census value.
 
 /// Keeps every default decision: installing it changes only which path runs.
 struct noop_chaos final : rt::chaos_policy {
@@ -332,7 +324,7 @@ struct noop_chaos final : rt::chaos_policy {
   std::size_t pick_victim(unsigned, std::size_t n) override { return n; }
 };
 
-struct solo_fib_trace {
+struct solo_trace {
   std::uint64_t result = 0;
   std::uint64_t dropped = 0;
   std::uint64_t counts[6] = {};  ///< events per event_kind
@@ -341,12 +333,14 @@ struct solo_fib_trace {
   rt::worker_stats stats;
 };
 
-solo_fib_trace trace_solo_fib16(rt::chaos_policy* chaos) {
+/// Runs program(ctx) -> std::uint64_t once on a traced P=1 scheduler.
+template <typename Program>
+solo_trace trace_solo(rt::chaos_policy* chaos, const Program& program) {
   scheduler sched(1);
   if (chaos != nullptr) sched.install_chaos(chaos);
   session cap(sched, session_options{std::size_t{1} << 15});
-  solo_fib_trace out;
-  sched.run([&](context& ctx) { out.result = workloads::fib(ctx, 16); });
+  solo_trace out;
+  sched.run([&](context& ctx) { out.result = program(ctx); });
   out.dropped = cap.dropped();
   const timeline t = cap.assemble();
   out.stats = sched.stats();
@@ -370,37 +364,66 @@ solo_fib_trace trace_solo_fib16(rt::chaos_policy* chaos) {
   return out;
 }
 
+/// Two body(i) loops: one whose grains fill whole bursts, one with a ragged
+/// last grain. Returns a checksum of what the bodies wrote.
+std::uint64_t two_loops(context& ctx) {
+  std::vector<std::uint64_t> a(4096), b(1000);
+  rt::parallel_for(ctx, 0, 4096, [&](int i) { a[i] = 3 * i + 1; }, 16);
+  rt::parallel_for(ctx, 0, 1000, [&](int i) { b[i] = 5 * i + 2; }, 3);
+  std::uint64_t sum = 0;
+  for (std::uint64_t v : a) sum += v;
+  for (std::uint64_t v : b) sum += v;
+  return sum;
+}
+
+struct solo_pin {
+  const char* name;
+  std::uint64_t (*program)(context&);
+  std::uint64_t result;
+  std::uint64_t spawns, peak_deque, max_frame_depth, peak_live_frames;
+  std::uint64_t frames;  ///< frame_begin events, = frame_end events
+  std::uint64_t syncs;   ///< sync_begin events, = sync_end events
+  std::uint64_t kind_hash, field_hash;
+};
+
 TEST(Session, SoloFibTraceIsPinnedAndIdenticalOnBothPaths) {
-  const solo_fib_trace fast = trace_solo_fib16(nullptr);
-  noop_chaos hook;
-  const solo_fib_trace slow = trace_solo_fib16(&hook);
-  for (const solo_fib_trace* r : {&fast, &slow}) {
-    EXPECT_EQ(r->result, 987u);
-    // Scheduler census: the same on both paths, and the pinned values.
-    EXPECT_EQ(r->stats.spawns, 1596u);  // F(17) - 1
-    EXPECT_EQ(r->stats.tasks_executed, r->stats.spawns);
-    EXPECT_EQ(r->stats.steals, 0u);
-    EXPECT_EQ(r->stats.peak_deque, 8u);
-    EXPECT_EQ(r->stats.max_frame_depth, 15u);
-    EXPECT_EQ(r->stats.peak_live_frames, 16u);
-  }
-  if (!session::compiled_in) GTEST_SKIP() << "tracing compiled out";
-  for (const solo_fib_trace* r : {&fast, &slow}) {
-    EXPECT_EQ(r->dropped, 0u);
-    using k = event_kind;
-    EXPECT_EQ(r->counts[static_cast<int>(k::frame_begin)], 1597u);
-    EXPECT_EQ(r->counts[static_cast<int>(k::frame_end)], 1597u);
-    EXPECT_EQ(r->counts[static_cast<int>(k::spawn)], 1596u);
-    EXPECT_EQ(r->counts[static_cast<int>(k::sync_begin)], 3193u);
-    EXPECT_EQ(r->counts[static_cast<int>(k::sync_end)], 3193u);
-    EXPECT_EQ(r->counts[static_cast<int>(k::steal)], 0u);
-    EXPECT_EQ(r->kind_hash, 0x42dbd0762fc0ff43ULL);
-    EXPECT_EQ(r->field_hash, 0x42daf2f3f124cca4ULL);
+  const solo_pin pins[] = {
+      {"fib(16)", [](context& ctx) { return workloads::fib(ctx, 16); }, 987,
+       /*spawns=F(17)-1*/ 1596, 8, 15, 16, 1597, 3193, 0x42dbd0762fc0ff43ULL,
+       0x42daf2f3f124cca4ULL},
+      {"two body(i) loops", two_loops,
+       4096ULL * 4095 / 2 * 3 + 4096 + 1000ULL * 999 / 2 * 5 + 2000, 590, 34,
+       6, 7, 593, 617, 0xcc2c965a51b3ec23ULL, 0x145988eb7168cc0cULL},
+  };
+  for (const solo_pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    const solo_trace fast = trace_solo(nullptr, pin.program);
+    noop_chaos hook;
+    const solo_trace slow = trace_solo(&hook, pin.program);
+    for (const solo_trace* r : {&fast, &slow}) {
+      EXPECT_EQ(r->result, pin.result);
+      // Scheduler census: the same on both paths, and the pinned values.
+      EXPECT_EQ(r->stats.spawns, pin.spawns);
+      EXPECT_EQ(r->stats.tasks_executed, r->stats.spawns);
+      EXPECT_EQ(r->stats.steals, 0u);
+      EXPECT_EQ(r->stats.peak_deque, pin.peak_deque);
+      EXPECT_EQ(r->stats.max_frame_depth, pin.max_frame_depth);
+      EXPECT_EQ(r->stats.peak_live_frames, pin.peak_live_frames);
+      EXPECT_EQ(r->dropped, 0u);
+      using k = event_kind;
+      EXPECT_EQ(r->counts[static_cast<int>(k::frame_begin)], pin.frames);
+      EXPECT_EQ(r->counts[static_cast<int>(k::frame_end)], pin.frames);
+      EXPECT_EQ(r->counts[static_cast<int>(k::spawn)], pin.spawns);
+      EXPECT_EQ(r->counts[static_cast<int>(k::sync_begin)], pin.syncs);
+      EXPECT_EQ(r->counts[static_cast<int>(k::sync_end)], pin.syncs);
+      EXPECT_EQ(r->counts[static_cast<int>(k::steal)], 0u);
+      EXPECT_EQ(r->kind_hash, pin.kind_hash);
+      EXPECT_EQ(r->field_hash, pin.field_hash);
+    }
   }
 }
 
 TEST(ChromeExport, EventCountMatchesRingTotalsAndNestingIsWellFormed) {
-  if (!session::compiled_in) GTEST_SKIP() << "tracing compiled out";
   fib_capture cap = capture_fib(4, 16);
   std::ostringstream os;
   write_chrome_trace(os, cap.t);
@@ -434,7 +457,6 @@ TEST(ChromeExport, EventCountMatchesRingTotalsAndNestingIsWellFormed) {
 }
 
 TEST(Replay, SimT1MatchesMeasuredSerialWorkWithinTenPercent) {
-  if (!session::compiled_in) GTEST_SKIP() << "tracing compiled out";
   fib_capture cap = capture_fib(4, 18);
   ASSERT_EQ(cap.dropped, 0u);
   reconstruction rec = reconstruct_dag(cap.t);
@@ -455,7 +477,6 @@ TEST(Replay, SimT1MatchesMeasuredSerialWorkWithinTenPercent) {
 }
 
 TEST(Replay, WhatIfPredictionsRespectCilkviewBounds) {
-  if (!session::compiled_in) GTEST_SKIP() << "tracing compiled out";
   scheduler sched(4);
   session cap(sched, session_options{std::size_t{1} << 17});
   auto data = workloads::random_doubles(std::size_t{1} << 16, 7);
